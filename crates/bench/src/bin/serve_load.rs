@@ -5,9 +5,10 @@
 //! * **Load** (default): fire a mixed request stream at a server —
 //!   in-process by default, or an external one via `--addr` — and report
 //!   throughput, tail latency, shed rate, and cache hit rate. With
-//!   `--faults` the deterministic network-fault plan (torn bodies,
-//!   mid-response disconnects, injected handler panics) is armed, and the
-//!   run asserts the server kept answering through all of it.
+//!   `--faults` the in-process server runs under a deterministic fault
+//!   plan (torn bodies, mid-response disconnects, injected handler
+//!   panics), and the run asserts the server kept answering through all
+//!   of it.
 //! * **Job** (`--job`): submit one durable Monte Carlo job, poll it to
 //!   completion, and print `job <digest> body-fnv <hash>`. The CI gate
 //!   runs this against a server it kills mid-job and again against an
@@ -17,8 +18,8 @@
 //! Run with `cargo run -p ssn-bench --bin serve_load --release -- [options]`.
 
 use ssn_core::durable::fnv1a64;
+use ssn_core::faults::{FaultPlan, Faults};
 use ssn_server::client;
-use ssn_server::netfaults::{self, NetFaultPlan};
 use ssn_server::{Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -33,8 +34,9 @@ options:
                         in-process one
     --requests <n>      total requests to send (default 400)
     --concurrency <n>   client worker threads (default 8)
-    --faults <spec>     arm the deterministic fault plan, e.g.
-                        seed=7,torn=0.1,disconnect=0.1,panic=0.05
+    --faults <spec>     arm a deterministic fault plan (the SSN_FAULTS
+                        grammar), e.g.
+                        seed=7,torn_body=0.1,disconnect=0.1,handler_panic=0.05
                         (in-process server only)
     --job               crash-safety probe: submit one durable montecarlo
                         job, poll to completion, print its body hash
@@ -62,14 +64,18 @@ fn main() {
     let (addr, server) = match opts.addr {
         Some(addr) => (addr, None),
         None => {
-            if let Some(spec) = &opts.faults {
-                let Some(plan) = NetFaultPlan::parse(spec) else {
-                    eprintln!("serve_load: bad --faults spec {spec:?}");
+            let faults = match opts.faults.as_deref().map(FaultPlan::parse) {
+                None => Faults::none(),
+                Some(Ok(plan)) => Faults::arm(plan),
+                Some(Err(e)) => {
+                    eprintln!("serve_load: bad --faults spec: {e}");
                     std::process::exit(2);
-                };
-                netfaults::arm(plan);
-            }
-            let server = match Server::start(ServerConfig::default()) {
+                }
+            };
+            let server = match Server::start(ServerConfig {
+                faults,
+                ..ServerConfig::default()
+            }) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("serve_load: cannot start server: {e}");
@@ -86,7 +92,6 @@ fn main() {
         load(addr, &opts)
     };
     if let Some(server) = server {
-        netfaults::disarm();
         server.drain();
     }
     std::process::exit(code);

@@ -4,6 +4,7 @@ use super::{resolve_process, with_telemetry, TelemetryMode};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
 use ssn_core::design;
+use ssn_core::faults::Faults;
 use ssn_core::lcmodel;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::{Seconds, Volts};
@@ -28,7 +29,7 @@ limit, the slew-control target, and a stagger schedule.
 /// # Errors
 ///
 /// Usage errors for bad options; analysis errors from the suite.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &["process", "drivers", "budget", "rise-time"],
@@ -65,7 +66,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
         }
         let n_ok = design::max_simultaneous_drivers(&scenario, budget)?;
         writeln!(out, "A. simultaneous switching limit: {n_ok} drivers")?;
-        match design::required_rise_time_with_report(&scenario, budget) {
+        match design::required_rise_time_with_report(&scenario, budget, faults) {
             Ok((tr_needed, report)) => {
                 writeln!(out, "B. slew control: rise time >= {tr_needed}")?;
                 writeln!(out, "   solver: {report}")?;

@@ -14,6 +14,8 @@ pub mod validate;
 use crate::args::ParsedArgs;
 use crate::error::CliError;
 use ssn_core::durable::{DurableOptions, RunBudget};
+use ssn_core::faults::Faults;
+use ssn_core::parallel::ExecPolicy;
 use ssn_devices::process::Process;
 use ssn_units::Seconds;
 use std::io::Write;
@@ -140,6 +142,17 @@ where
         }
     }
     Ok(())
+}
+
+/// The run's execution policy: `--threads` (default: every hardware
+/// thread) under the invocation's fault plane.
+pub(crate) fn exec_policy(args: &ParsedArgs, faults: &Faults) -> Result<ExecPolicy, CliError> {
+    let policy = match args.parsed::<usize>("threads")? {
+        Some(0) => return Err(CliError::usage("--threads must be at least 1")),
+        Some(t) => ExecPolicy::with_threads(t),
+        None => ExecPolicy::auto(),
+    };
+    Ok(policy.with_faults(faults.clone()))
 }
 
 /// Resolves a `--process` name to a library process.

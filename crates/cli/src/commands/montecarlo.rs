@@ -1,13 +1,15 @@
 //! `ssn montecarlo` — variation/yield analysis.
 
-use super::{durable_options, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP};
+use super::{
+    durable_options, exec_policy, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP,
+};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
+use ssn_core::faults::Faults;
 use ssn_core::lcmodel;
 use ssn_core::montecarlo::{
     run_monte_carlo_durable_with_path, run_monte_carlo_with_path, McPath, VariationSpec,
 };
-use ssn_core::parallel::ExecPolicy;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::{Seconds, Volts};
@@ -39,7 +41,7 @@ options:
 /// # Errors
 ///
 /// Usage errors for bad options; analysis errors from the suite.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &[
@@ -70,11 +72,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     let drivers: usize = args.required("drivers")?;
     let samples: usize = args.parsed_or("samples", 2000)?;
     let seed: u64 = args.parsed_or("seed", 1)?;
-    let policy = match args.parsed::<usize>("threads")? {
-        Some(0) => return Err(CliError::usage("--threads must be at least 1")),
-        Some(t) => ExecPolicy::with_threads(t),
-        None => ExecPolicy::auto(),
-    };
+    let policy = exec_policy(&args, faults)?;
 
     let scenario = SsnScenario::builder(&process)
         .drivers(drivers)

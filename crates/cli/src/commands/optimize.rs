@@ -1,15 +1,18 @@
 //! `ssn optimize` — inverse design: a durable coarse-to-fine Pareto
 //! search over the `(N, L, C, tr)` space (DESIGN.md §14).
 
-use super::{durable_options, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP};
+use super::{
+    durable_options, exec_policy, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP,
+};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
 use ssn_core::durable::Durability;
+use ssn_core::faults::Faults;
 use ssn_core::optimize::{
     confirm_front, search, search_durable, DesignPoint, DesignSpace, ObjectiveSet, OptimizeOptions,
     OptimizeOutcome,
 };
-use ssn_core::parallel::{ExecPolicy, ExecStats};
+use ssn_core::parallel::ExecStats;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::Seconds;
@@ -53,7 +56,7 @@ options:
 /// Usage errors for bad options; analysis errors from the search;
 /// [`CliError::NoFeasiblePoint`] (exit 16) when the cap excluded every
 /// evaluated point.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &[
@@ -111,11 +114,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     if confirm.is_some() && format != Format::Table {
         return Err(CliError::usage("--confirm needs --format table"));
     }
-    let policy = match args.parsed::<usize>("threads")? {
-        Some(0) => return Err(CliError::usage("--threads must be at least 1")),
-        Some(t) => ExecPolicy::with_threads(t),
-        None => ExecPolicy::auto(),
-    };
+    let policy = exec_policy(&args, faults)?;
     let telemetry = TelemetryMode::from_args(&args)?;
     let durable = durable_options(&args)?;
 

@@ -2,6 +2,7 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
+use ssn_core::faults::Faults;
 use ssn_server::{ServeError, Server, ServerConfig};
 use ssn_units::Seconds;
 use std::io::Write;
@@ -48,7 +49,7 @@ options:
 /// [`CliError::BindFailure`] (exit 15) when the address cannot be bound,
 /// [`CliError::DrainDeadline`] (exit 14) when the drain overran its
 /// deadline, usage errors for bad flags.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &[
@@ -69,7 +70,10 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let mut cfg = ServerConfig::default();
+    let mut cfg = ServerConfig {
+        faults: faults.clone(),
+        ..ServerConfig::default()
+    };
     if let Some(addr) = args.value("addr") {
         cfg.addr = addr.to_owned();
     }
@@ -149,7 +153,7 @@ mod tests {
     fn run_to_string(argv: &[&str]) -> (Result<(), CliError>, String) {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         let mut buf = Vec::new();
-        let res = run(&argv, &mut buf);
+        let res = run(&argv, &Faults::none(), &mut buf);
         (res, String::from_utf8(buf).expect("utf8 output"))
     }
 

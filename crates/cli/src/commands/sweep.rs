@@ -1,6 +1,8 @@
 //! `ssn sweep` — maximum SSN vs. driver count, with the prior models.
 
-use super::{durable_options, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP};
+use super::{
+    durable_options, exec_policy, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP,
+};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
 use ssn_core::baselines::{senthinathan_prince, song, vemuru, BaselineInputs};
@@ -9,7 +11,8 @@ use ssn_core::durable::{
     fnv1a64, run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
     ParamDigest, RunSpec,
 };
-use ssn_core::parallel::{par_map, ExecPolicy};
+use ssn_core::faults::Faults;
+use ssn_core::parallel::par_map;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_core::{lcmodel, lmodel, SsnError};
@@ -42,7 +45,7 @@ options:
 /// # Errors
 ///
 /// Usage errors for bad options; analysis errors from the suite.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &[
@@ -70,11 +73,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let tr = args.parsed_or("rise-time", Seconds::from_nanos(0.5))?;
     let simulate = !args.flag("no-simulation");
-    let policy = match args.parsed::<usize>("threads")? {
-        Some(0) => return Err(CliError::usage("--threads must be at least 1")),
-        Some(t) => ExecPolicy::with_threads(t),
-        None => ExecPolicy::auto(),
-    };
+    let policy = exec_policy(&args, faults)?;
 
     let telemetry = TelemetryMode::from_args(&args)?;
     let durable = durable_options(&args)?;

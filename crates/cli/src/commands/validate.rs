@@ -1,11 +1,11 @@
 //! `ssn validate` — the corpus-scale differential oracle gate.
 
-use super::{durable_options, with_telemetry, TelemetryMode, DURABLE_HELP};
+use super::{durable_options, exec_policy, with_telemetry, TelemetryMode, DURABLE_HELP};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
+use ssn_core::faults::Faults;
 use ssn_core::grids::GridSweepOptions;
 use ssn_core::oracle::{self, case_slug, OracleOptions, ReproCase, TolerancePolicy};
-use ssn_core::parallel::ExecPolicy;
 use ssn_core::report::run_footer;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -47,7 +47,7 @@ options:
 /// Usage errors for bad options; analysis errors from the suite;
 /// [`CliError::Validation`] (exit 10) when the corpus has budget
 /// violations or a replayed repro still fails.
-pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
+pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<(), CliError> {
     let args = ParsedArgs::parse(
         argv,
         &[
@@ -93,11 +93,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     }
 
     let corpus: usize = args.parsed_or("corpus", 500)?;
-    let exec = match args.parsed::<usize>("threads")? {
-        Some(0) => return Err(CliError::usage("--threads must be at least 1")),
-        Some(t) => ExecPolicy::with_threads(t),
-        None => ExecPolicy::auto(),
-    };
+    let exec = exec_policy(&args, faults)?;
     let opts = OracleOptions {
         corpus,
         seed,

@@ -21,6 +21,7 @@ mod error;
 pub use args::ParsedArgs;
 pub use error::CliError;
 
+use ssn_core::faults::{FaultPlan, Faults};
 use std::io::Write;
 
 /// Top-level usage text.
@@ -59,9 +60,14 @@ EXIT CODES:
    15  serve: could not bind the listen address
    16  optimize: no feasible design point under --max-noise-frac
 Errors print one structured stderr line: `ssn: error kind=... exit=...: ...`.
+
+ENVIRONMENT:
+    SSN_FAULTS  deterministic fault plan for drills, e.g.
+                seed=2,eio=0.1,crash_after_commits=2 (keys in README);
+                a malformed plan is a usage error (exit 2)
 ";
 
-/// Executes the CLI with explicit arguments and output sink.
+/// Executes the CLI with explicit arguments and output sink, fault-free.
 ///
 /// `argv` excludes the program name (pass `std::env::args().skip(1)`).
 ///
@@ -70,10 +76,28 @@ Errors print one structured stderr line: `ssn: error kind=... exit=...: ...`.
 /// Returns [`CliError`] for unknown commands, malformed options, or any
 /// analysis failure; the caller maps it to an exit code.
 pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
-    // Storage fault drills (CI, operator rehearsal): a well-formed
-    // `SSN_DISK_FAULTS` arms the deterministic disk-fault injector for
-    // this invocation; unset or malformed leaves the real filesystem.
-    ssn_core::storage::arm_from_env();
+    run_with_faults(argv, None, out)
+}
+
+/// [`run`] under a fault plan: `faults` is the `SSN_FAULTS` text (the
+/// binary passes the environment variable), armed once for the whole
+/// invocation — fault drills for CI and operator rehearsal.
+///
+/// # Errors
+///
+/// As [`run`]; a malformed plan is a usage error, so a drill never runs
+/// silently fault-free.
+pub fn run_with_faults<W: Write>(
+    argv: &[String],
+    faults: Option<&str>,
+    out: &mut W,
+) -> Result<(), CliError> {
+    let faults = match faults {
+        Some(spec) => {
+            Faults::arm(FaultPlan::parse(spec).map_err(|e| CliError::usage(e.to_string()))?)
+        }
+        None => Faults::none(),
+    };
     let Some(command) = argv.first() else {
         writeln!(out, "{USAGE}")?;
         return Err(CliError::usage("missing command"));
@@ -82,14 +106,14 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     match command.as_str() {
         "estimate" => commands::estimate::run(rest, out),
         "fit" => commands::fit::run(rest, out),
-        "sweep" => commands::sweep::run(rest, out),
-        "budget" => commands::budget::run(rest, out),
-        "montecarlo" => commands::montecarlo::run(rest, out),
+        "sweep" => commands::sweep::run(rest, &faults, out),
+        "budget" => commands::budget::run(rest, &faults, out),
+        "montecarlo" => commands::montecarlo::run(rest, &faults, out),
         "impedance" => commands::impedance::run(rest, out),
         "simulate" => commands::simulate::run(rest, out),
-        "validate" => commands::validate::run(rest, out),
-        "optimize" => commands::optimize::run(rest, out),
-        "serve" => commands::serve::run(rest, out),
+        "validate" => commands::validate::run(rest, &faults, out),
+        "optimize" => commands::optimize::run(rest, &faults, out),
+        "serve" => commands::serve::run(rest, &faults, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -106,10 +130,68 @@ mod tests {
     use super::*;
 
     fn run_to_string(argv: &[&str]) -> (Result<(), CliError>, String) {
+        run_under(argv, None)
+    }
+
+    fn run_under(argv: &[&str], faults: Option<&str>) -> (Result<(), CliError>, String) {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         let mut buf = Vec::new();
-        let res = run(&argv, &mut buf);
+        let res = run_with_faults(&argv, faults, &mut buf);
         (res, String::from_utf8(buf).expect("utf8 output"))
+    }
+
+    #[test]
+    fn malformed_fault_plan_is_a_usage_error() {
+        // `torn` is ambiguous between the storage and network sites.
+        let (res, _) = run_under(
+            &[
+                "montecarlo",
+                "--process",
+                "p018",
+                "--drivers",
+                "4",
+                "--samples",
+                "64",
+            ],
+            Some("seed=1,torn=0.1"),
+        );
+        let err = res.expect_err("a malformed plan must not run");
+        assert!(matches!(err, CliError::Usage { .. }), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("torn"), "{err}");
+    }
+
+    #[test]
+    fn malformed_fault_plan_stops_serve_before_it_listens() {
+        let (res, text) = run_under(&["serve", "--addr", "127.0.0.1:0"], Some("panic=1"));
+        let err = res.expect_err("serve must refuse to start");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(!text.contains("listening"), "{text}");
+    }
+
+    #[test]
+    fn a_well_formed_plan_reaches_the_run() {
+        let journal =
+            std::env::temp_dir().join(format!("ssn-cli-faults-{}.ckpt", std::process::id()));
+        let (res, _) = run_under(
+            &[
+                "montecarlo",
+                "--process",
+                "p018",
+                "--drivers",
+                "4",
+                "--samples",
+                "1024",
+                "--threads",
+                "1",
+                "--checkpoint",
+                journal.to_str().expect("utf8 temp path"),
+            ],
+            Some("crash_after_commits=1"),
+        );
+        let _ = std::fs::remove_file(&journal);
+        let err = res.expect_err("the planned crash must interrupt the run");
+        assert_eq!(err.exit_code(), 12, "{err}");
     }
 
     #[test]

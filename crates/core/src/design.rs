@@ -13,7 +13,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
-use crate::hooks;
+use crate::faults::Faults;
 use crate::lcmodel;
 use crate::lcmodel::MaxSsnCase;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -119,7 +119,7 @@ pub fn max_simultaneous_drivers(template: &SsnScenario, budget: Volts) -> Result
 /// * [`SsnError::InvalidScenario`] when the budget is unreachable even at
 ///   a 1 us rise time.
 pub fn required_rise_time(template: &SsnScenario, budget: Volts) -> Result<Seconds, SsnError> {
-    required_rise_time_with_report(template, budget).map(|(tr, _)| tr)
+    required_rise_time_with_report(template, budget, &Faults::none()).map(|(tr, _)| tr)
 }
 
 /// [`required_rise_time`] plus the [`SolveReport`] describing which rung of
@@ -130,12 +130,16 @@ pub fn required_rise_time(template: &SsnScenario, budget: Volts) -> Result<Secon
 /// When the budget is so loose that no rise time in range violates it, no
 /// root solve happens and the report shows zero rungs tried.
 ///
+/// `faults` is the caller's fault plane: its `solver_rungs` force-fail
+/// rungs of the ladder.
+///
 /// # Errors
 ///
 /// Same contract as [`required_rise_time`].
 pub fn required_rise_time_with_report(
     template: &SsnScenario,
     budget: Volts,
+    faults: &Faults,
 ) -> Result<(Seconds, SolveReport), SsnError> {
     validate_budget(budget)?;
     let _span = ssn_telemetry::span("design.rise_time");
@@ -182,7 +186,7 @@ pub fn required_rise_time_with_report(
     // to the old direct call; a failing rung degrades to bisection.
     let opts = SolveOptions {
         domain: (tr_peak, t_slow),
-        disabled_rungs: hooks::solver_disabled_rungs(),
+        disabled_rungs: faults.solver_rungs(),
         ..SolveOptions::with_root(RootOptions {
             x_tol: 1e-16,
             f_tol: 1e-9,
@@ -288,7 +292,7 @@ pub fn sweep_design_grid(
     let n_points = drivers.len() * inductances.len();
     let _run_span = ssn_telemetry::span("grid.run");
     let (chunks, mut stats) = try_run_chunked(n_points, GRID_CHUNK, policy, |c, range| {
-        grid_chunk(template, drivers, inductances, c, range)
+        grid_chunk(template, drivers, inductances, c, range, policy.faults())
     });
     let total = chunks.len();
     let mut points = Vec::with_capacity(n_points);
@@ -362,8 +366,9 @@ fn grid_chunk(
     inductances: &[Henrys],
     c: usize,
     range: std::ops::Range<usize>,
+    faults: &Faults,
 ) -> Result<Vec<GridPoint>, SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults.chunk_panic(c);
     ssn_telemetry::add("grid.points", range.len() as u64);
     // Row-major order means `n` is constant across `inductances.len()`
     // consecutive points, so the `with_drivers` rebuild is hoisted behind
@@ -479,7 +484,7 @@ pub fn sweep_design_grid_durable(
                 })
                 .collect()
         },
-        |c, range| grid_chunk(template, drivers, inductances, c, range),
+        |c, range| grid_chunk(template, drivers, inductances, c, range, policy.faults()),
     )?;
 
     let mut durability = Durability {
@@ -590,7 +595,7 @@ mod tests {
     fn rise_time_report_names_the_clean_rung() {
         let t = template(8);
         let budget = Volts::new(0.4);
-        let (tr, report) = required_rise_time_with_report(&t, budget).unwrap();
+        let (tr, report) = required_rise_time_with_report(&t, budget, &Faults::none()).unwrap();
         assert_eq!(report.method, "brent");
         assert!(report.is_clean(), "clean run degraded: {report}");
         assert_eq!(tr, required_rise_time(&t, budget).unwrap());

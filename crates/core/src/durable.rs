@@ -56,9 +56,8 @@
 //! payloads included).
 
 use crate::error::{CheckpointErrorKind, SsnError};
-use crate::hooks;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
-use crate::storage;
+use crate::storage::{self, CkptIo};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -225,10 +224,11 @@ impl RunBudget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Arms the process-wide kernel deadline for the lifetime of the
-    /// returned guard (no-op without a wall-clock deadline: the
+    /// Arms this budget's kernel deadline on the calling thread for the
+    /// lifetime of the returned guard; the parallel engine hands it on to
+    /// its workers. A no-op without a wall-clock deadline: the
     /// deterministic test quota must not leak into kernels, whose poll
-    /// counts are not reproducible).
+    /// counts are not reproducible.
     pub fn arm_kernels(&self) -> Option<ssn_numeric::cancel::DeadlineGuard> {
         self.deadline
             .map(|d| ssn_numeric::cancel::arm(Some(d.saturating_duration_since(Instant::now()))))
@@ -393,6 +393,12 @@ impl<'a> ByteReader<'a> {
 ///   proceeds. A lock whose contents are unreadable garbage (torn write)
 ///   is treated as stale the same way.
 ///
+/// Acquirers of locks in one directory take turns: each holds an exclusive
+/// `flock` on the directory from its first create attempt to its last, and
+/// the kernel drops that flock when a process dies. So a lock another
+/// acquirer is still writing is never seen half-written, and the stale
+/// lock a takeover removes is never one another acquirer has just created.
+///
 /// Dropping the guard removes the lock file; an abnormal exit leaves it
 /// for the next acquirer's staleness check.
 #[derive(Debug)]
@@ -428,17 +434,19 @@ impl JournalLock {
     /// [`SsnError::Checkpoint`] with [`CheckpointErrorKind::Locked`] when a
     /// live process holds the lock, or [`CheckpointErrorKind::Io`] for
     /// filesystem failures.
-    pub fn acquire(journal: &Path) -> Result<Self, SsnError> {
+    pub fn acquire(journal: &Path, io: &dyn CkptIo) -> Result<Self, SsnError> {
         let lock_path = lock_path_for(journal);
-        match Self::try_create(&lock_path)? {
+        let _turn = acquirers_turn(&lock_path);
+        match Self::try_create(&lock_path, io)? {
             Some(lock) => Ok(lock),
             None => {
                 // The lock file exists. Live holder → typed refusal; dead
-                // or unreadable holder → stale, remove and retry once (a
-                // live contender can still win that second race). An
+                // or unreadable holder → stale, remove and retry once. An
                 // unreadable or torn lock (a holder power-cut before its
-                // PID landed) parses to no holder and is treated as stale.
-                let holder = storage::io()
+                // PID landed) parses to no holder and is treated as stale:
+                // holding the acquirers' turn, it cannot be a contender's
+                // lock still being written.
+                let holder = io
                     .read(&lock_path)
                     .ok()
                     .and_then(|b| String::from_utf8(b).ok())
@@ -452,13 +460,13 @@ impl JournalLock {
                         ));
                     }
                 }
-                match storage::io().remove_file(&lock_path) {
+                match io.remove_file(&lock_path) {
                     Ok(()) => {}
                     // The dead holder's lock vanished under us: fine.
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                     Err(e) => return Err(io_err(&lock_path, "remove stale lock", &e)),
                 }
-                match Self::try_create(&lock_path)? {
+                match Self::try_create(&lock_path, io)? {
                     Some(lock) => Ok(lock),
                     None => Err(SsnError::checkpoint(
                         lock_path.display().to_string(),
@@ -475,15 +483,15 @@ impl JournalLock {
     /// A failure after the file was created (ENOSPC or a failed fsync mid
     /// PID write) removes the partial lock so the failing process does not
     /// block the journal it never actually locked.
-    fn try_create(lock_path: &Path) -> Result<Option<Self>, SsnError> {
+    fn try_create(lock_path: &Path, io: &dyn CkptIo) -> Result<Option<Self>, SsnError> {
         let pid_line = format!("{}\n", std::process::id());
         let attempt = storage::RetryPolicy::default().run(|| {
-            match storage::io().create_new(lock_path, pid_line.as_bytes()) {
+            match io.create_new(lock_path, pid_line.as_bytes()) {
                 Err(e) if e.kind() != std::io::ErrorKind::AlreadyExists => {
                     // Best-effort cleanup of a partially-written lock; a
                     // dead process (simulated kill) cannot clean up, and
                     // the next acquirer's staleness pass handles the husk.
-                    let _ = storage::io().remove_file(lock_path);
+                    let _ = io.remove_file(lock_path);
                     Err(e)
                 }
                 other => other,
@@ -502,6 +510,16 @@ impl JournalLock {
     pub fn path(&self) -> &Path {
         &self.lock_path
     }
+}
+
+/// Waits for this process's turn to acquire locks in `lock_path`'s
+/// directory: an exclusive `flock` on the directory, released when the
+/// returned handle drops. `None` (no serialization) where a directory
+/// cannot be opened or locked — the PID checks still apply there.
+fn acquirers_turn(lock_path: &Path) -> Option<std::fs::File> {
+    let dir = std::fs::File::open(parent_dir(lock_path)).ok()?;
+    dir.lock().ok()?;
+    Some(dir)
 }
 
 impl Drop for JournalLock {
@@ -565,9 +583,9 @@ impl CheckpointStore {
     /// Loads and fully validates a journal. Every structural defect —
     /// truncation, bad magic, unknown version, checksum mismatch, record
     /// bounds, trailing bytes — is a typed [`SsnError::Checkpoint`].
-    pub fn load(path: &Path) -> Result<Self, SsnError> {
+    pub fn load(path: &Path, io: &dyn CkptIo) -> Result<Self, SsnError> {
         let bytes = storage::RetryPolicy::default()
-            .run(|| storage::io().read(path))
+            .run(|| io.read(path))
             .map_err(|e| io_err(path, "read", &e))?;
         let p = path.display().to_string();
         let corrupt =
@@ -770,22 +788,22 @@ impl CheckpointStore {
     /// (prior sessions plus this one). Transient I/O faults are retried
     /// with backoff; the whole sequence restarts from a fresh temp write,
     /// so a torn or unsynced attempt is never renamed into place.
-    pub fn commit(&self, elapsed: Duration) -> Result<(), SsnError> {
-        self.commit_io(elapsed)
+    pub fn commit(&self, elapsed: Duration, io: &dyn CkptIo) -> Result<(), SsnError> {
+        self.commit_io(elapsed, io)
             .map_err(|e| io_err(&self.path, "commit", &e))
     }
 
     /// [`CheckpointStore::commit`]'s I/O with the raw `io::Error` kept, so
     /// the durable runner can classify the failure (a simulated power cut
     /// vs. a disk fault worth degrading over).
-    fn commit_io(&self, elapsed: Duration) -> std::io::Result<()> {
+    fn commit_io(&self, elapsed: Duration, io: &dyn CkptIo) -> std::io::Result<()> {
         let bytes = self.serialize(elapsed);
         let tmp = self.path.with_extension("ckpt-tmp");
         let dir = parent_dir(&self.path);
         storage::RetryPolicy::default().run(|| {
-            storage::io().write_file(&tmp, &bytes)?;
-            storage::io().rename(&tmp, &self.path)?;
-            storage::io().fsync_dir(dir)
+            io.write_file(&tmp, &bytes)?;
+            io.rename(&tmp, &self.path)?;
+            io.fsync_dir(dir)
         })
     }
 
@@ -993,8 +1011,9 @@ pub struct DurableRun<T> {
 /// * when the budget expires, unstarted chunks come back
 ///   [`ChunkOutcome::DeadlineSkipped`] and in-flight kernels stop at their
 ///   next poll — the caller applies its degradation ladder to the gap;
-/// * a simulated crash (fault plan or `SSN_CRASH_AFTER_COMMITS`) returns
-///   [`SsnError::Interrupted`] after the configured number of commits.
+/// * a simulated crash (the policy's fault plane, see [`crate::faults`])
+///   returns [`SsnError::Interrupted`] after the configured number of
+///   commits.
 pub fn run_chunked_durable<T, Enc, Dec, F>(
     spec: &RunSpec,
     policy: &ExecPolicy,
@@ -1012,6 +1031,7 @@ where
     let _span = ssn_telemetry::span("durable.run");
     let started = Instant::now();
     let n_chunks = spec.n_chunks();
+    let faults = policy.faults();
 
     // Take the journal's exclusive lock for the whole run: two processes
     // must never resume (or interleave commits into) the same journal. The
@@ -1024,14 +1044,14 @@ where
     // power cut stays fatal (a dead process cannot degrade-and-continue).
     let mut early_degrade: Option<String> = None;
     let _journal_lock: Option<JournalLock> = match &opts.checkpoint {
-        Some(path) => match JournalLock::acquire(path) {
+        Some(path) => match JournalLock::acquire(path, faults) {
             Ok(lock) => Some(lock),
             Err(
                 e @ SsnError::Checkpoint {
                     kind: CheckpointErrorKind::Io,
                     ..
                 },
-            ) if !storage::simulated_death() => {
+            ) if !faults.dead() => {
                 early_degrade = Some(e.to_string());
                 None
             }
@@ -1047,7 +1067,7 @@ where
         if let Some(path) = &opts.checkpoint {
             let tmp = path.with_extension("ckpt-tmp");
             if tmp.exists() {
-                let _ = storage::io().remove_file(&tmp);
+                let _ = faults.remove_file(&tmp);
             }
         }
     }
@@ -1062,7 +1082,7 @@ where
         Some(_) if early_degrade.is_some() => None,
         Some(path) => {
             if opts.resume && path.exists() {
-                match CheckpointStore::load(path) {
+                match CheckpointStore::load(path, faults) {
                     Ok(s) => {
                         s.verify_spec(spec)?;
                         for (&c, payload) in s.records() {
@@ -1085,7 +1105,7 @@ where
                             kind: CheckpointErrorKind::Io,
                             ..
                         },
-                    ) if !storage::simulated_death() => {
+                    ) if !faults.dead() => {
                         early_degrade = Some(e.to_string());
                         None
                     }
@@ -1107,7 +1127,7 @@ where
 
     let pending: Vec<usize> = (0..n_chunks).filter(|c| !resumed.contains_key(c)).collect();
 
-    let crash = hooks::checkpoint_crash_plan();
+    let crash = faults.crash();
     let crashed = AtomicBool::new(false);
     let deadline_hit = AtomicBool::new(false);
     struct StoreCell {
@@ -1178,7 +1198,7 @@ where
                                     Err(e) => CommitOutcome::TornFailed(e),
                                 }
                             } else {
-                                match st.commit_io(elapsed) {
+                                match st.commit_io(elapsed, faults) {
                                     Ok(()) => CommitOutcome::Committed,
                                     Err(e)
                                         if storage::injected_fault(&e)
@@ -1330,6 +1350,7 @@ fn rewrap_payload_err(path: &Path, chunk: u64, e: SsnError) -> SsnError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::RealIo;
     use std::sync::atomic::AtomicUsize;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -1432,9 +1453,9 @@ mod tests {
         let mut store = CheckpointStore::create(path.clone(), &spec);
         store.record(0, vec![1, 2, 3]);
         store.record(4, vec![0xff; 40]);
-        store.commit(Duration::from_millis(250)).unwrap();
+        store.commit(Duration::from_millis(250), &RealIo).unwrap();
 
-        let loaded = CheckpointStore::load(&path).unwrap();
+        let loaded = CheckpointStore::load(&path, &RealIo).unwrap();
         loaded.verify_spec(&spec).unwrap();
         assert_eq!(loaded.records().len(), 2);
         assert_eq!(loaded.records()[&0], vec![1, 2, 3]);
@@ -1449,8 +1470,8 @@ mod tests {
         let spec = toy_spec(2);
         let mut store = CheckpointStore::create(path.clone(), &spec);
         store.record(0, vec![9]);
-        store.commit(Duration::ZERO).unwrap();
-        let loaded = CheckpointStore::load(&path).unwrap();
+        store.commit(Duration::ZERO, &RealIo).unwrap();
+        let loaded = CheckpointStore::load(&path, &RealIo).unwrap();
 
         for wrong in [
             RunSpec { seed: 12, ..spec },
@@ -1485,7 +1506,7 @@ mod tests {
     #[test]
     fn missing_journal_is_an_io_error() {
         let path = temp_path("missing");
-        match CheckpointStore::load(&path).unwrap_err() {
+        match CheckpointStore::load(&path, &RealIo).unwrap_err() {
             SsnError::Checkpoint { kind, .. } => assert_eq!(kind, CheckpointErrorKind::Io),
             other => panic!("expected io checkpoint error, got {other}"),
         }
@@ -1536,7 +1557,7 @@ mod tests {
             let v = toy_eval(&spec)(c, spec.range(c)).unwrap();
             store.record(c, encode_chunk(&v));
         }
-        store.commit(Duration::from_millis(10)).unwrap();
+        store.commit(Duration::from_millis(10), &RealIo).unwrap();
 
         // Session 2: resume. The three restored chunks must not be
         // recomputed (poison the evaluator for them to prove it).
@@ -1653,10 +1674,10 @@ mod tests {
     #[test]
     fn journal_lock_excludes_second_acquirer_and_releases_on_drop() {
         let journal = temp_path("lock-exclusive");
-        let lock = JournalLock::acquire(&journal).unwrap();
+        let lock = JournalLock::acquire(&journal, &RealIo).unwrap();
         assert!(lock.path().exists());
         // A second acquirer (same live PID) must be refused, typed.
-        match JournalLock::acquire(&journal).unwrap_err() {
+        match JournalLock::acquire(&journal, &RealIo).unwrap_err() {
             SsnError::Checkpoint { kind, detail, .. } => {
                 assert_eq!(kind, CheckpointErrorKind::Locked);
                 assert!(detail.contains(&std::process::id().to_string()), "{detail}");
@@ -1667,7 +1688,7 @@ mod tests {
         drop(lock);
         assert!(!lock_path.exists(), "drop must remove the lock file");
         // Released: re-acquisition succeeds.
-        drop(JournalLock::acquire(&journal).unwrap());
+        drop(JournalLock::acquire(&journal, &RealIo).unwrap());
     }
 
     #[test]
@@ -1677,11 +1698,11 @@ mod tests {
         // A dead PID: 32-bit PIDs cap below this on Linux, and the kernel
         // never hands out pid 0 to a user process either way.
         std::fs::write(&lock_path, "4194999999\n").unwrap();
-        let lock = JournalLock::acquire(&journal).expect("stale lock must be recovered");
+        let lock = JournalLock::acquire(&journal, &RealIo).expect("stale lock must be recovered");
         drop(lock);
         // Unreadable contents (torn write of the lock itself): also stale.
         std::fs::write(&lock_path, b"\xff\xfenot a pid").unwrap();
-        drop(JournalLock::acquire(&journal).expect("garbage lock must be recovered"));
+        drop(JournalLock::acquire(&journal, &RealIo).expect("garbage lock must be recovered"));
         assert!(!lock_path.exists());
     }
 
@@ -1695,7 +1716,7 @@ mod tests {
             budget: RunBudget::unlimited(),
         };
         // While a lock is held, the runner must refuse to start.
-        let held = JournalLock::acquire(&path).unwrap();
+        let held = JournalLock::acquire(&path, &RealIo).unwrap();
         let err = run_chunked_durable(
             &spec,
             &ExecPolicy::serial(),

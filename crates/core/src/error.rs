@@ -56,7 +56,7 @@ pub enum SsnError {
         /// Human-readable detail (which check failed, expected vs found).
         detail: String,
     },
-    /// A simulated crash (fault injection or `SSN_CRASH_AFTER_COMMITS`)
+    /// A simulated crash (the fault plane's `crash_after_commits`)
     /// killed the run after some chunks were committed to the checkpoint.
     /// Resume with `--resume` to continue from the journal.
     Interrupted {

@@ -1,205 +1,331 @@
-//! Deterministic fault injection for robustness testing.
+//! The fault plane: deterministic, run-scoped fault injection for every
+//! robustness contract in the suite.
 //!
-//! Compiled in only under the `fault-injection` cargo feature, and even then
-//! every hook is a disarmed no-op until a test activates a [`FaultPlan`]
-//! through [`with_faults`]. The hooks sit at three sites:
+//! One [`FaultPlan`] describes every fault the suite can inject, under one
+//! seed:
 //!
-//! * **Model outputs** — [`corrupt_model_output`] turns a sampled `vn_max`
-//!   into NaN with a configured probability (exercises the NaN-tolerant
-//!   aggregation paths),
-//! * **Workers** — [`maybe_panic_chunk`] panics inside a parallel chunk
-//!   (exercises the `catch_unwind` isolation in
-//!   [`crate::parallel::try_run_chunked`]),
-//! * **Solvers** — [`solver_disabled_rungs`] force-disables rungs of the
-//!   `ssn_numeric::solve` fallback ladder (exercises the fallback paths).
+//! | site             | knobs                                            | keyed by          |
+//! |------------------|--------------------------------------------------|-------------------|
+//! | model outputs    | `nan`                                            | Monte Carlo sample |
+//! | parallel workers | `chunk_panic`, `panic_once`                      | chunk index       |
+//! | solver ladder    | `solver_rungs`                                   | (a rung bitmask)  |
+//! | durable runs     | `crash_after_commits`, `crash_torn`              | (a commit count)  |
+//! | storage          | `enospc`, `eio`, `fsync`, `torn_write`, `kill_at`| storage op index  |
+//! | network          | `torn_body`, `disconnect`, `handler_panic`       | connection serial |
 //!
-//! Every decision is drawn from [`ssn_numeric::rng::Rng`] streams keyed by
-//! the *item or chunk index*, never by thread or wall clock, so an injected
-//! fault pattern is bit-identical at any `--threads` setting — determinism
-//! holds fault-on and fault-off.
+//! Every probabilistic decision is `decide(seed, site, index, p)`: an
+//! FNV-1a hash of the three keys mapped into `[0, 1)`. The index is an item,
+//! chunk, operation or connection number, never a thread or the clock, so a
+//! plan injects the same faults at any thread count.
 //!
-//! Plans are process-global; [`with_faults`] serializes activations behind a
-//! mutex so concurrently running tests cannot observe each other's faults.
+//! A plan does nothing until it is armed for a run. [`Faults::arm`] pairs it
+//! with the run's own mutable state: the storage op counter, the
+//! simulated-death latch, and the chunks that already panicked under
+//! `panic_once`. The handle travels with the run — inside
+//! [`crate::parallel::ExecPolicy`] for the parallel engine and the durable
+//! runner, inside the server's shared state for its connection and job
+//! threads — so two runs in one process never see each other's faults.
+//! [`Faults::none`] (the default) is the disarmed plane: each site costs one
+//! branch on an `Option`.
+//!
+//! Release binaries take the plan from the `SSN_FAULTS` environment variable
+//! (grammar at [`FaultPlan::parse`]); a malformed spec is an error, never a
+//! silently fault-free drill.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use ssn_numeric::rng::Rng;
-
-/// What to inject, and how often.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Everything to inject, and how often. All knobs default to off.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Seed for every injection decision (different sites derive different
-    /// streams from it).
+    /// Seed for every probabilistic decision.
     pub seed: u64,
-    /// Probability that a model output is replaced by NaN, per item.
-    pub nan_probability: f64,
-    /// Probability that a worker panics, per chunk.
-    pub panic_probability: f64,
-    /// When true, each chunk panics at most once — a retried chunk
-    /// succeeds, which is how the retry budget is tested.
+    /// Probability that a Monte Carlo model output becomes NaN, per sample.
+    pub nan: f64,
+    /// Probability that a parallel chunk panics, per chunk.
+    pub chunk_panic: f64,
+    /// Each chunk panics at most once, so a retried chunk succeeds — how
+    /// the retry budget is tested.
     pub panic_once: bool,
     /// Rungs of the solver fallback ladder to force-fail, as a
     /// `ssn_numeric::solve::rung` bitmask.
-    pub disable_solver_rungs: u8,
-    /// Simulated process death for durable runs: after this many checkpoint
-    /// commits the run stops scheduling work, stops committing, and returns
-    /// `SsnError::Interrupted` — the library-level equivalent of `kill -9`
-    /// at a chunk boundary.
+    pub solver_rungs: u8,
+    /// Simulated `kill -9` for durable runs: after this many checkpoint
+    /// commits the run stops scheduling work and returns
+    /// `SsnError::Interrupted`.
     pub crash_after_commits: Option<usize>,
-    /// When the simulated crash fires, also tear the last commit: the final
-    /// journal on disk is cut mid-record, as if the process died inside the
-    /// write. Resume must detect this as corruption, never trust it.
-    pub torn_crash: bool,
+    /// When the crash fires, also tear the last commit: the journal on disk
+    /// is cut mid-record. Resume must reject it, never trust it.
+    pub crash_torn: bool,
+    /// Probability a write-class storage op fails with ENOSPC (persistent:
+    /// never retried; the caller degrades).
+    pub enospc: f64,
+    /// Probability a storage op fails with a flaky-media EIO (transient:
+    /// retried, and a retry is decided afresh at the next op index).
+    pub eio: f64,
+    /// Probability an fsync fails after the data was written (transient).
+    pub fsync: f64,
+    /// Probability a write is torn: half the bytes land, then the op fails
+    /// (transient; the retry rewrites from scratch).
+    pub torn_write: f64,
+    /// Power cut at exactly this storage op index: the op leaves a partial
+    /// effect and every later op fails — the crash-consistency sweep's knob.
+    pub kill_at: Option<u64>,
+    /// Probability a request body read is torn mid-transfer, per connection.
+    pub torn_body: f64,
+    /// Probability a connection drops before its response is written.
+    pub disconnect: f64,
+    /// Probability a request handler panics mid-computation.
+    pub handler_panic: f64,
 }
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            nan_probability: 0.0,
-            panic_probability: 0.0,
-            panic_once: false,
-            disable_solver_rungs: 0,
-            crash_after_commits: None,
-            torn_crash: false,
+/// A malformed `SSN_FAULTS` spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultSpecError {
+    /// What was wrong, naming the offending field.
+    pub detail: String,
+}
+
+impl std::fmt::Display for FaultSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed SSN_FAULTS: {}", self.detail)
+    }
+}
+
+impl std::error::Error for FaultSpecError {}
+
+impl FaultPlan {
+    /// Parses the `SSN_FAULTS` grammar: comma-separated `key=value` fields,
+    /// any order, all optional. The keys are the field names of this type;
+    /// probabilities lie in `[0, 1]`, `panic_once`/`crash_torn` take `0` or
+    /// `1`, and `seed`/`solver_rungs`/`crash_after_commits`/`kill_at` take
+    /// non-negative integers. Empty text is the inert plan. Anything else —
+    /// an unknown key, a missing `=`, an out-of-range value — is an error.
+    pub fn parse(text: &str) -> Result<Self, FaultSpecError> {
+        let mut plan = Self::default();
+        for field in text.split(',').map(str::trim).filter(|f| !f.is_empty()) {
+            let Some((key, value)) = field.split_once('=') else {
+                return Err(spec_err(format!("{field:?} is not key=value")));
+            };
+            let (key, value) = (key.trim(), value.trim());
+            match key {
+                "seed" => plan.seed = number(key, value)?,
+                "nan" => plan.nan = probability(key, value)?,
+                "chunk_panic" => plan.chunk_panic = probability(key, value)?,
+                "panic_once" => plan.panic_once = flag(key, value)?,
+                "solver_rungs" => plan.solver_rungs = number(key, value)?,
+                "crash_after_commits" => plan.crash_after_commits = Some(number(key, value)?),
+                "crash_torn" => plan.crash_torn = flag(key, value)?,
+                "enospc" => plan.enospc = probability(key, value)?,
+                "eio" => plan.eio = probability(key, value)?,
+                "fsync" => plan.fsync = probability(key, value)?,
+                "torn_write" => plan.torn_write = probability(key, value)?,
+                "kill_at" => plan.kill_at = Some(number(key, value)?),
+                "torn_body" => plan.torn_body = probability(key, value)?,
+                "disconnect" => plan.disconnect = probability(key, value)?,
+                "handler_panic" => plan.handler_panic = probability(key, value)?,
+                _ => return Err(spec_err(format!("unknown key {key:?}"))),
+            }
+        }
+        Ok(plan)
+    }
+}
+
+fn spec_err(detail: String) -> FaultSpecError {
+    FaultSpecError { detail }
+}
+
+fn number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, FaultSpecError> {
+    value
+        .parse()
+        .map_err(|_| spec_err(format!("{key}={value:?} is not a non-negative integer")))
+}
+
+fn probability(key: &str, value: &str) -> Result<f64, FaultSpecError> {
+    match value.parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+        _ => Err(spec_err(format!(
+            "{key}={value:?} is not a probability in [0, 1]"
+        ))),
+    }
+}
+
+fn flag(key: &str, value: &str) -> Result<bool, FaultSpecError> {
+    match value {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(spec_err(format!("{key}={value:?} is not 0 or 1"))),
+    }
+}
+
+/// Decision-stream keys: the same index at two sites is two independent
+/// decisions.
+pub(crate) mod site {
+    pub const NAN: u64 = 0x5153_4e5f_4e61_4e00;
+    pub const CHUNK_PANIC: u64 = 0x5153_4e5f_7061_6e00;
+    pub const TORN_BODY: u64 = 0;
+    pub const DISCONNECT: u64 = 1;
+    pub const HANDLER_PANIC: u64 = 2;
+    pub const ENOSPC: u64 = 0x5344_4953_4b5f_6e6f;
+    pub const EIO: u64 = 0x5344_4953_4b5f_6569;
+    pub const FSYNC: u64 = 0x5344_4953_4b5f_6673;
+    pub const TORN_WRITE: u64 = 0x5344_4953_4b5f_746f;
+}
+
+/// The one decision function: `true` with probability `p`, as a pure
+/// function of `(seed, site, index)`. Zero never fires; one always does.
+pub(crate) fn decide(seed: u64, site: u64, index: u64, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
+    let mut bytes = [0u8; 24];
+    bytes[..8].copy_from_slice(&seed.to_le_bytes());
+    bytes[8..16].copy_from_slice(&site.to_le_bytes());
+    bytes[16..].copy_from_slice(&index.to_le_bytes());
+    let h = crate::durable::fnv1a64(&bytes);
+    // Upper 53 bits → uniform in [0, 1).
+    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    u < p
+}
+
+/// A plan armed for one run, with the run's mutable fault state.
+#[derive(Debug)]
+pub(crate) struct Armed {
+    pub(crate) plan: FaultPlan,
+    /// Storage operations performed so far (the storage decision index).
+    pub(crate) disk_ops: AtomicU64,
+    /// Set once `kill_at` fires: the simulated process is dead.
+    pub(crate) dead: AtomicBool,
+    /// Chunks that already panicked, for `panic_once`.
+    fired_chunks: Mutex<HashSet<usize>>,
+}
+
+/// The run-scoped fault plane: disarmed ([`Faults::none`]) or one armed
+/// [`FaultPlan`] plus its per-run state. Clones share that state, which is
+/// how a run hands its plane to its worker threads.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Option<Arc<Armed>>);
+
+impl PartialEq for Faults {
+    /// Two handles are equal when both are disarmed or both share one
+    /// armed run state.
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
 
-// Distinct stream keys per injection site, so "NaN at item 7" and "panic in
-// chunk 7" are independent decisions.
-const SITE_NAN: u64 = 0x5153_4e5f_4e61_4e00;
-const SITE_PANIC: u64 = 0x5153_4e5f_7061_6e00;
+impl Eq for Faults {}
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-struct State {
-    plan: FaultPlan,
-    fired_chunks: HashSet<usize>,
-}
-
-fn state() -> MutexGuard<'static, Option<State>> {
-    static STATE: OnceLock<Mutex<Option<State>>> = OnceLock::new();
-    STATE
-        .get_or_init(|| Mutex::new(None))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Serializes fault-armed sections across test threads.
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` with `plan` armed, then disarms.
-///
-/// Activations are serialized process-wide, so parallel tests using faults
-/// do not interfere. The default panic hook is silenced for the duration —
-/// injected worker panics are expected and caught, and their backtraces
-/// would otherwise spam test output.
-///
-/// The body runs under `catch_unwind` (not a drop guard) because restoring
-/// the panic hook from a panicking thread would abort the process; a
-/// panicking body is disarmed, the hook restored, and the panic resumed.
-pub fn with_faults<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-    let _serialized = gate();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    *state() = Some(State {
-        plan,
-        fired_chunks: HashSet::new(),
-    });
-    ARMED.store(true, Ordering::SeqCst);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    ARMED.store(false, Ordering::SeqCst);
-    *state() = None;
-    std::panic::set_hook(prev_hook);
-    match result {
-        Ok(r) => r,
-        Err(payload) => std::panic::resume_unwind(payload),
+impl Faults {
+    /// The disarmed plane: nothing is ever injected.
+    pub fn none() -> Self {
+        Self(None)
     }
-}
 
-/// True while a [`FaultPlan`] is armed.
-pub fn active() -> bool {
-    ARMED.load(Ordering::SeqCst)
-}
+    /// Arms `plan` with fresh run state (op counter at 0, nobody dead,
+    /// no chunk fired yet).
+    pub fn arm(plan: FaultPlan) -> Self {
+        Self(Some(Arc::new(Armed {
+            plan,
+            disk_ops: AtomicU64::new(0),
+            dead: AtomicBool::new(false),
+            fired_chunks: Mutex::new(HashSet::new()),
+        })))
+    }
 
-/// Fault site: replaces a model output with NaN according to the armed
-/// plan. `item` is the global item index (e.g. the Monte Carlo sample
-/// number), which keys the decision deterministically.
-pub fn corrupt_model_output(item: u64, value: f64) -> f64 {
-    if !active() {
-        return value;
+    /// The armed plan, or `None` when disarmed.
+    fn plan(&self) -> Option<&FaultPlan> {
+        self.0.as_ref().map(|a| &a.plan)
     }
-    let guard = state();
-    let Some(st) = guard.as_ref() else {
-        return value;
-    };
-    if st.plan.nan_probability <= 0.0 {
-        return value;
-    }
-    let mut rng = Rng::from_seed_and_stream(st.plan.seed ^ SITE_NAN, item);
-    if rng.uniform() < st.plan.nan_probability {
-        f64::NAN
-    } else {
-        value
-    }
-}
 
-/// Fault site: panics according to the armed plan. Call at the top of a
-/// parallel chunk evaluation; `chunk` keys the decision deterministically.
-pub fn maybe_panic_chunk(chunk: usize) {
-    if !active() {
-        return;
+    pub(crate) fn armed(&self) -> Option<&Armed> {
+        self.0.as_deref()
     }
-    let should_fire = {
-        let mut guard = state();
-        let Some(st) = guard.as_mut() else {
-            return;
-        };
-        if st.plan.panic_probability <= 0.0 {
+
+    fn fires(&self, site: u64, index: u64, p: impl Fn(&FaultPlan) -> f64) -> bool {
+        self.plan()
+            .is_some_and(|plan| decide(plan.seed, site, index, p(plan)))
+    }
+
+    /// Model-output site: turns the outputs of one chunk into NaN where the
+    /// plan says so. `first` is the global sample index of `values[0]`.
+    pub(crate) fn corrupt_outputs(&self, first: usize, values: &mut [f64]) {
+        if let Some(p) = self.plan().filter(|p| p.nan > 0.0) {
+            for (i, v) in values.iter_mut().enumerate() {
+                if decide(p.seed, site::NAN, (first + i) as u64, p.nan) {
+                    *v = f64::NAN;
+                }
+            }
+        }
+    }
+
+    /// Worker site: panics at the top of chunk `chunk` when the plan says
+    /// so. Under `panic_once` a chunk's second attempt goes through.
+    pub(crate) fn chunk_panic(&self, chunk: usize) {
+        let Some(armed) = self.armed() else { return };
+        if !self.fires(site::CHUNK_PANIC, chunk as u64, |p| p.chunk_panic) {
             return;
         }
-        let mut rng = Rng::from_seed_and_stream(st.plan.seed ^ SITE_PANIC, chunk as u64);
-        let hit = rng.uniform() < st.plan.panic_probability;
-        // `insert` returns false when the chunk already fired; under
-        // `panic_once` that second attempt is allowed to succeed.
-        hit && (!st.plan.panic_once || st.fired_chunks.insert(chunk))
-    };
-    if should_fire {
-        panic!("injected fault: worker panic in chunk {chunk}");
+        // `insert` is false when the chunk already fired.
+        if !armed.plan.panic_once
+            || armed
+                .fired_chunks
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(chunk)
+        {
+            panic!("injected fault: worker panic in chunk {chunk}");
+        }
     }
-}
 
-/// Fault site: the solver-ladder rungs the armed plan disables (0 when
-/// disarmed).
-pub fn solver_disabled_rungs() -> u8 {
-    if !active() {
-        return 0;
+    /// Solver site: the fallback-ladder rungs to force-fail (0 when
+    /// disarmed).
+    pub(crate) fn solver_rungs(&self) -> u8 {
+        self.plan().map_or(0, |p| p.solver_rungs)
     }
-    state()
-        .as_ref()
-        .map_or(0, |st| st.plan.disable_solver_rungs)
-}
 
-/// Fault site: the armed crash plan for durable runs, as
-/// `(crash_after_commits, torn)`. `None` when disarmed or no crash is
-/// configured.
-pub fn checkpoint_crash_plan() -> Option<(usize, bool)> {
-    if !active() {
-        return None;
+    /// Durable-run site: `(crash_after_commits, crash_torn)`, or `None`
+    /// when no crash is planned.
+    pub(crate) fn crash(&self) -> Option<(usize, bool)> {
+        self.plan()
+            .and_then(|p| p.crash_after_commits.map(|after| (after, p.crash_torn)))
     }
-    state().as_ref().and_then(|st| {
-        st.plan
-            .crash_after_commits
-            .map(|after| (after, st.plan.torn_crash))
-    })
+
+    /// Storage operations this plane has gated so far (the crash sweep
+    /// sizes its kill schedule with it).
+    pub fn disk_ops(&self) -> u64 {
+        self.armed()
+            .map_or(0, |a| a.disk_ops.load(Ordering::SeqCst))
+    }
+
+    /// `true` once `kill_at` has fired: the simulated process is dead, and
+    /// nothing may degrade-and-continue past it.
+    pub fn dead(&self) -> bool {
+        self.armed().is_some_and(|a| a.dead.load(Ordering::SeqCst))
+    }
+
+    /// Network site: tear connection `conn`'s request body?
+    pub fn torn_body(&self, conn: u64) -> bool {
+        self.fires(site::TORN_BODY, conn, |p| p.torn_body)
+    }
+
+    /// Network site: drop connection `conn` before its response is written?
+    pub fn disconnect(&self, conn: u64) -> bool {
+        self.fires(site::DISCONNECT, conn, |p| p.disconnect)
+    }
+
+    /// Network site: panics when the plan injects a handler panic for
+    /// connection `conn`. Call inside the handler's `catch_unwind`.
+    pub fn handler_panic(&self, conn: u64) {
+        if self.fires(site::HANDLER_PANIC, conn, |p| p.handler_panic) {
+            panic!("injected handler panic (connection {conn})");
+        }
+    }
 }
 
 /// A way to damage a checkpoint journal on disk, for exercising the
@@ -255,90 +381,117 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_hooks_are_transparent() {
-        assert!(!active());
-        assert_eq!(corrupt_model_output(7, 1.25).to_bits(), 1.25f64.to_bits());
-        maybe_panic_chunk(3); // must not panic
-        assert_eq!(solver_disabled_rungs(), 0);
+    fn parses_the_one_grammar_and_rejects_everything_else() {
+        let p = FaultPlan::parse(
+            "seed=9, nan=0.5,chunk_panic=1,panic_once=1,solver_rungs=3,crash_after_commits=2,\
+             crash_torn=1,enospc=0.25,eio=0.5,fsync=1,torn_write=0.1,kill_at=7,torn_body=0.2,\
+             disconnect=0.3,handler_panic=0.05",
+        )
+        .unwrap();
+        assert_eq!(
+            p,
+            FaultPlan {
+                seed: 9,
+                nan: 0.5,
+                chunk_panic: 1.0,
+                panic_once: true,
+                solver_rungs: 3,
+                crash_after_commits: Some(2),
+                crash_torn: true,
+                enospc: 0.25,
+                eio: 0.5,
+                fsync: 1.0,
+                torn_write: 0.1,
+                kill_at: Some(7),
+                torn_body: 0.2,
+                disconnect: 0.3,
+                handler_panic: 0.05,
+            }
+        );
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+        // `torn` and `panic` would be ambiguous between sites: rejected.
+        for bad in [
+            "torn=0.1",
+            "panic=0.1",
+            "eio=2",
+            "zebra=1",
+            "eio",
+            "panic_once=yes",
+            "kill_at=-1",
+            "seed=x",
+        ] {
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.to_string().starts_with("malformed SSN_FAULTS"), "{err}");
+        }
     }
 
     #[test]
-    fn nan_injection_is_deterministic_per_item() {
-        let plan = FaultPlan {
-            seed: 42,
-            nan_probability: 0.5,
-            ..FaultPlan::default()
-        };
-        let a: Vec<bool> = with_faults(plan, || {
-            (0..64)
-                .map(|i| corrupt_model_output(i, 1.0).is_nan())
-                .collect()
-        });
-        let b: Vec<bool> = with_faults(plan, || {
-            (0..64)
-                .map(|i| corrupt_model_output(i, 1.0).is_nan())
-                .collect()
-        });
-        assert_eq!(a, b);
-        assert!(a.iter().any(|x| *x));
-        assert!(a.iter().any(|x| !*x));
-        // Different seeds give different patterns.
-        let c: Vec<bool> = with_faults(FaultPlan { seed: 43, ..plan }, || {
-            (0..64)
-                .map(|i| corrupt_model_output(i, 1.0).is_nan())
-                .collect()
-        });
-        assert_ne!(a, c);
+    fn decisions_are_deterministic_and_probability_shaped() {
+        let fired: Vec<bool> = (0..1000).map(|i| decide(3, site::EIO, i, 0.5)).collect();
+        let again: Vec<bool> = (0..1000).map(|i| decide(3, site::EIO, i, 0.5)).collect();
+        assert_eq!(fired, again, "same seed and order fire identically");
+        let count = fired.iter().filter(|&&b| b).count();
+        assert!((300..700).contains(&count), "got {count} of 1000 at p=0.5");
+        assert!(
+            !decide(3, site::EIO, 7, 0.0),
+            "zero probability never fires"
+        );
+        assert!(
+            decide(3, site::EIO, 7, 1.0),
+            "unit probability always fires"
+        );
+        // Sites and seeds are independent streams.
+        let other: Vec<bool> = (0..1000)
+            .map(|i| decide(3, site::TORN_WRITE, i, 0.5))
+            .collect();
+        assert_ne!(fired, other);
+        let reseeded: Vec<bool> = (0..1000).map(|i| decide(4, site::EIO, i, 0.5)).collect();
+        assert_ne!(fired, reseeded);
     }
 
     #[test]
-    fn panic_once_lets_the_second_attempt_through() {
+    fn disarmed_plane_is_transparent() {
+        let off = Faults::none();
+        let mut values = [1.25, 2.5];
+        off.corrupt_outputs(7, &mut values);
+        assert_eq!(values, [1.25, 2.5]);
+        off.chunk_panic(3); // must not panic
+        off.handler_panic(3);
+        assert_eq!(off.solver_rungs(), 0);
+        assert_eq!(off.crash(), None);
+        assert!(!off.torn_body(0) && !off.disconnect(0) && !off.dead());
+        assert_eq!(off, Faults::default());
+    }
+
+    #[test]
+    fn panic_once_is_per_run_state() {
         let plan = FaultPlan {
             seed: 7,
-            panic_probability: 1.0,
+            chunk_panic: 1.0,
             panic_once: true,
             ..FaultPlan::default()
         };
-        with_faults(plan, || {
-            let first = std::panic::catch_unwind(|| maybe_panic_chunk(5));
-            assert!(first.is_err());
-            let second = std::panic::catch_unwind(|| maybe_panic_chunk(5));
-            assert!(second.is_ok());
-        });
+        let run = Faults::arm(plan);
+        let shared = run.clone();
+        assert!(std::panic::catch_unwind(|| run.chunk_panic(5)).is_err());
+        assert!(
+            std::panic::catch_unwind(|| shared.chunk_panic(5)).is_ok(),
+            "a clone shares the run's fired set"
+        );
+        // A second run of the same plan starts with its own state.
+        let next = Faults::arm(plan);
+        assert!(std::panic::catch_unwind(|| next.chunk_panic(5)).is_err());
+        assert_ne!(run, next);
     }
 
     #[test]
-    fn crash_plan_is_exposed_only_while_armed() {
-        assert_eq!(checkpoint_crash_plan(), None);
+    fn crash_plan_reads_both_knobs() {
         let plan = FaultPlan {
             crash_after_commits: Some(3),
-            torn_crash: true,
+            crash_torn: true,
             ..FaultPlan::default()
         };
-        with_faults(plan, || {
-            assert_eq!(checkpoint_crash_plan(), Some((3, true)));
-        });
-        assert_eq!(checkpoint_crash_plan(), None);
-        with_faults(FaultPlan::default(), || {
-            assert_eq!(checkpoint_crash_plan(), None);
-        });
-    }
-
-    #[test]
-    fn disarm_survives_a_panicking_body() {
-        let plan = FaultPlan {
-            seed: 1,
-            disable_solver_rungs: 0b10,
-            ..FaultPlan::default()
-        };
-        let res = std::panic::catch_unwind(|| {
-            with_faults(plan, || {
-                assert_eq!(solver_disabled_rungs(), 0b10);
-                panic!("body dies");
-            })
-        });
-        assert!(res.is_err());
-        assert!(!active());
-        assert_eq!(solver_disabled_rungs(), 0);
+        assert_eq!(Faults::arm(plan).crash(), Some((3, true)));
+        assert_eq!(Faults::arm(FaultPlan::default()).crash(), None);
     }
 }

@@ -38,9 +38,10 @@
 //! * [`optimize`] — inverse design: a durable coarse-to-fine Pareto
 //!   search over the `(N, L, C, tr)` space whose front is provably
 //!   identical to exhaustive enumeration while evaluating fewer points,
-//! * `faults` — deterministic fault-injection hooks (NaN model outputs,
-//!   worker panics, forced solver failures), compiled in behind the
-//!   `fault-injection` cargo feature and disarmed by default.
+//! * [`faults`] — the run-scoped fault plane: one seeded [`faults::FaultPlan`]
+//!   covering model outputs, workers, solvers, crashes, storage and the
+//!   network, carried by the run and disarmed by default,
+//! * [`storage`] — the durable-path I/O seam and its retry policy.
 //!
 //! # Examples
 //!
@@ -72,10 +73,8 @@ pub mod bridge;
 pub mod design;
 pub mod durable;
 pub mod error;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod grids;
-mod hooks;
 pub mod lcmodel;
 pub mod lmodel;
 pub mod montecarlo;

@@ -36,7 +36,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
-use crate::hooks;
+use crate::faults::Faults;
 use crate::lcmodel;
 use crate::lmodel;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -497,7 +497,7 @@ pub fn run_monte_carlo_with_path(
     spec.validate()?;
     let _run_span = ssn_telemetry::span("mc.run");
     let (chunks, mut stats) = try_run_chunked(n_samples, MC_CHUNK, policy, |c, range| {
-        mc_chunk(nominal, spec, seed, c, range, path)
+        mc_chunk(nominal, spec, seed, c, range, path, policy.faults())
     });
     let _collect_span = ssn_telemetry::span("mc.collect");
     let total = stats.chunks;
@@ -532,9 +532,10 @@ pub fn run_monte_carlo_with_path(
 }
 
 /// Evaluates one Monte Carlo chunk: samples `range` from RNG stream
-/// `(seed, c)` on the selected path. The shared body of the plain and
-/// durable runners — all paths must produce identical chunk results for
-/// the determinism and resume invariants to hold.
+/// `(seed, c)` on the selected path, then applies the run's fault plane.
+/// The shared body of the plain and durable runners — all paths must
+/// produce identical chunk results for the determinism and resume
+/// invariants to hold.
 fn mc_chunk(
     nominal: &SsnScenario,
     spec: &VariationSpec,
@@ -542,11 +543,25 @@ fn mc_chunk(
     c: usize,
     range: Range<usize>,
     path: McPath,
+    faults: &Faults,
 ) -> Result<Vec<f64>, SsnError> {
-    match path {
+    faults.chunk_panic(c);
+    let first = range.start;
+    let mut out = match path {
         McPath::Batched => mc_chunk_batched(nominal, spec, seed, c, range),
-        McPath::Scalar => mc_chunk_scalar(nominal, spec, seed, c, range),
+        McPath::Scalar => mc_chunk_scalar(nominal, spec, seed, c, range)?,
+    };
+    // NaN injection is keyed by the global sample index and skipped
+    // entirely when no plan asks for it: one branch per chunk.
+    faults.corrupt_outputs(first, &mut out);
+    if let Some(&v) = out.iter().find(|v| !v.is_finite()) {
+        return Err(SsnError::invalid(
+            "vn_max",
+            v,
+            "model output must be finite",
+        ));
     }
+    Ok(out)
 }
 
 /// The retained scalar reference chunk: one scenario rebuild per sample.
@@ -557,40 +572,28 @@ fn mc_chunk_scalar(
     c: usize,
     range: Range<usize>,
 ) -> Result<Vec<f64>, SsnError> {
-    hooks::inject_chunk_panic(c);
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
     range
-        .map(|i| {
+        .map(|_| {
             let _sample_span = ssn_telemetry::span("mc.sample");
-            let v = hooks::inject_nan(i, sample_vn_max(nominal, spec, &mut rng)?);
-            if !v.is_finite() {
-                return Err(SsnError::invalid(
-                    "vn_max",
-                    v,
-                    "model output must be finite",
-                ));
-            }
-            Ok(v)
+            sample_vn_max(nominal, spec, &mut rng)
         })
-        .collect::<Result<Vec<f64>, SsnError>>()
+        .collect()
 }
 
 /// The batched SoA chunk: perturb the whole chunk into parameter slabs,
 /// then evaluate `vn_max` over the contiguous columns.
 ///
-/// Mirrors the scalar chunk observable for observable: same panic
-/// injection point, same `mc.samples` accounting, same per-sample NaN
-/// injection index (the *global* sample index `i`), and the same
-/// chunk-fails-whole error on a non-finite sample.
+/// Mirrors the scalar chunk observable for observable: same draws, same
+/// `mc.samples` accounting, same per-sample values.
 fn mc_chunk_batched(
     nominal: &SsnScenario,
     spec: &VariationSpec,
     seed: u64,
     c: usize,
     range: Range<usize>,
-) -> Result<Vec<f64>, SsnError> {
-    hooks::inject_chunk_panic(c);
+) -> Vec<f64> {
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
     let batch = {
@@ -625,18 +628,7 @@ fn mc_chunk_batched(
             );
         }
     }
-    for (j, i) in range.enumerate() {
-        let v = hooks::inject_nan(i, out[j]);
-        if !v.is_finite() {
-            return Err(SsnError::invalid(
-                "vn_max",
-                v,
-                "model output must be finite",
-            ));
-        }
-        out[j] = v;
-    }
-    Ok(out)
+    out
 }
 
 /// The durable-run identity of a Monte Carlo job: every parameter that
@@ -766,7 +758,7 @@ pub fn run_monte_carlo_durable_with_path(
             let n = r.take_usize()?;
             (0..n).map(|_| r.take_f64()).collect()
         },
-        |c, range| mc_chunk(nominal, spec, seed, c, range, path),
+        |c, range| mc_chunk(nominal, spec, seed, c, range, path, policy.faults()),
     )?;
 
     let mut durability = Durability {

@@ -40,6 +40,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
+use crate::faults::Faults;
 use crate::lcmodel::{self, MaxSsnCase};
 use crate::lmodel;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -624,8 +625,9 @@ fn eval_chunk(
     survivors: &[usize],
     chunk: usize,
     range: std::ops::Range<usize>,
+    faults: &Faults,
 ) -> Result<Vec<EvalOut>, SsnError> {
-    crate::hooks::inject_chunk_panic(chunk);
+    faults.chunk_panic(chunk);
     ssn_telemetry::add("opt.points", range.len() as u64);
     // Survivors are in ascending flat (row-major) order, so `n` is
     // constant across long stretches; hoist the `with_drivers` rebuild
@@ -906,7 +908,7 @@ pub fn search_durable(
             &level_durable,
             encode_chunk,
             decode_chunk,
-            |c, range| eval_chunk(template, space, &survivors, c, range),
+            |c, range| eval_chunk(template, space, &survivors, c, range, policy.faults()),
         )?;
         levels_run = level + 1;
         merge_stats(&mut stats, &run.stats);
@@ -1060,7 +1062,7 @@ pub fn enumerate(
     let survivors: Vec<usize> = (0..total_points).collect();
     let _run_span = ssn_telemetry::span("opt.enumerate");
     let (chunks, mut stats) = try_run_chunked(total_points, OPT_CHUNK, policy, |c, range| {
-        eval_chunk(template, space, &survivors, c, range)
+        eval_chunk(template, space, &survivors, c, range, policy.faults())
     });
     let total_chunks = chunks.len();
     let mut front = ParetoFront::new(opts.objectives);

@@ -33,7 +33,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::{CheckpointErrorKind, SsnError};
-use crate::hooks;
+use crate::faults::Faults;
 use crate::lcmodel::{self, MaxSsnCase};
 use crate::lmodel;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -701,7 +701,7 @@ pub fn run_differential(opts: &OracleOptions) -> Result<OracleReport, SsnError> 
     let _run_span = ssn_telemetry::span("oracle.run");
 
     let (chunks, mut stats) = try_run_chunked(opts.corpus, ORACLE_CHUNK, &opts.exec, |c, range| {
-        oracle_chunk(opts.seed, &opts.policy, c, range)
+        oracle_chunk(opts.seed, &opts.policy, c, range, opts.exec.faults())
     });
 
     let _collect_span = ssn_telemetry::span("oracle.collect");
@@ -749,8 +749,9 @@ fn oracle_chunk(
     policy: &TolerancePolicy,
     c: usize,
     range: Range<usize>,
+    faults: &Faults,
 ) -> Result<Vec<ScenarioOutcome>, SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults.chunk_panic(c);
     ssn_telemetry::add("oracle.scenarios", range.len() as u64);
     range
         .map(|i| {
@@ -977,7 +978,7 @@ pub fn run_differential_durable(
             let n = r.take_usize()?;
             (0..n).map(|_| decode_outcome(r)).collect()
         },
-        |c, range| oracle_chunk(opts.seed, &opts.policy, c, range),
+        |c, range| oracle_chunk(opts.seed, &opts.policy, c, range, opts.exec.faults()),
     )?;
 
     let _collect_span = ssn_telemetry::span("oracle.collect");

@@ -35,42 +35,43 @@
 //! assert_eq!(stats.items, 1000);
 //! ```
 
+use crate::faults::Faults;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// How a parallel run may use the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a parallel run may use the machine, and the run's fault plane.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPolicy {
     threads: usize,
     chunk_retries: usize,
+    faults: Faults,
 }
 
 impl ExecPolicy {
+    fn new(threads: usize) -> Self {
+        Self {
+            threads: threads.max(1),
+            chunk_retries: 0,
+            faults: Faults::none(),
+        }
+    }
+
     /// One worker: the exact serial evaluation order, no threads spawned.
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            chunk_retries: 0,
-        }
+        Self::new(1)
     }
 
     /// One worker per available hardware thread.
     pub fn auto() -> Self {
-        Self {
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
-            chunk_retries: 0,
-        }
+        Self::new(std::thread::available_parallelism().map_or(1, usize::from))
     }
 
     /// Exactly `threads` workers (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            chunk_retries: 0,
-        }
+        Self::new(threads)
     }
 
     /// Allows each panicked chunk to be re-evaluated up to `retries` extra
@@ -78,6 +79,15 @@ impl ExecPolicy {
     /// gets exactly one attempt, the engine's historical behavior.
     pub fn with_chunk_retries(mut self, retries: usize) -> Self {
         self.chunk_retries = retries;
+        self
+    }
+
+    /// Runs under `faults` (see [`crate::faults`]). Runs made with this
+    /// policy and its clones share the plane's state — its storage op
+    /// counter, death latch and `panic_once` set — so arm a fresh plane
+    /// per run that should start clean. The default is disarmed.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -89,6 +99,11 @@ impl ExecPolicy {
     /// Extra attempts allowed per panicked chunk.
     pub fn chunk_retries(&self) -> usize {
         self.chunk_retries
+    }
+
+    /// The run's fault plane.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 }
 
@@ -355,9 +370,13 @@ where
         let cursor = AtomicUsize::new(0);
         let busy_ns = AtomicU64::new(0);
         let wait_ns = AtomicU64::new(0);
+        // The run's kernel deadline lives on the calling thread; hand it to
+        // every worker so their inner loops poll the same budget.
+        let deadline = ssn_numeric::cancel::current();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
+                    let _deadline = deadline.enter();
                     let loop_start = Instant::now();
                     let mut compute = Duration::ZERO;
                     loop {

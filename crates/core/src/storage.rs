@@ -16,13 +16,13 @@
 //!   files), rename, parent-directory fsync, read, remove, mkdir.
 //! * [`RealIo`] — the `std::fs` implementation. The only place in the
 //!   durable paths that touches the filesystem directly.
-//! * [`DiskFaultPlan`] — a deterministic seeded injector, armed
-//!   programmatically ([`with_disk_faults`]) or via the `SSN_DISK_FAULTS`
-//!   environment variable (`seed=..,enospc=..,eio=..,fsync=..,torn=..`,
-//!   mirroring `SSN_NET_FAULTS`). Every decision hashes
-//!   `(seed, fault-site, operation-index)` with FNV-1a — same seed, same
-//!   operation order → same faults, at any thread count of the *storage*
-//!   call sequence.
+//! * The storage sites of the fault plane — [`crate::faults::Faults`]
+//!   implements [`CkptIo`] through one table that says, per primitive,
+//!   which faults apply (ENOSPC, EIO, failed fsync, torn write) and what
+//!   partial effect a power cut leaves. Every decision is
+//!   `decide(seed, fault-site, operation-index)`: same
+//!   seed, same operation order → same faults. A disarmed plane is a
+//!   direct [`RealIo`] call.
 //! * [`RetryPolicy`] — bounded retry with backoff for transient faults
 //!   (flaky EIO, failed fsync, interrupted syscalls). Persistent faults
 //!   (ENOSPC, permission, a dead process) are not retried: they go
@@ -30,7 +30,7 @@
 //!
 //! # The crash-consistency sweep
 //!
-//! [`DiskFaultPlan::kill_at`] simulates a power cut at one exact operation
+//! The plan's `kill_at` simulates a power cut at one exact operation
 //! index: the operation applies a *partial* effect (a torn write, a
 //! skipped rename) and every later operation fails — the process is
 //! "dead". `tests/storage_faults.rs` sweeps that kill point across every
@@ -39,16 +39,17 @@
 //! clean-slate rerun — never a panic, never silently-corrupt accepted
 //! output.
 //!
-//! When disarmed (the default, and whenever `SSN_DISK_FAULTS` is unset)
-//! every primitive is a direct `std::fs` call; fault-off runs are
-//! byte-identical to a build without this layer.
+//! When disarmed (the default, and whenever `SSN_FAULTS` is unset) every
+//! primitive is a direct `std::fs` call; fault-off runs are byte-identical
+//! to a build without this layer.
 
 use std::io;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
+
+use crate::faults::{decide, site, Faults};
 
 // ---------------------------------------------------------------------------
 // The trait and the real implementation
@@ -146,7 +147,7 @@ pub enum InjectedFaultKind {
     FsyncFailed,
     /// The write was torn partway — transient for the same reason.
     TornWrite,
-    /// The simulated power cut of [`DiskFaultPlan::kill_at`] — the
+    /// The simulated power cut of the plan's `kill_at` — the
     /// process is "dead"; persistent, never retried.
     Killed,
 }
@@ -199,351 +200,125 @@ pub fn injected_fault(e: &io::Error) -> Option<InjectedFaultKind> {
         .map(|f| f.kind)
 }
 
-/// Deterministic storage fault schedule (all probabilities default 0).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DiskFaultPlan {
-    /// Seed for every per-operation decision.
-    pub seed: u64,
-    /// Probability a write-class operation fails with ENOSPC (persistent:
-    /// never retried, goes straight to the degradation ladder).
-    pub enospc: f64,
-    /// Probability an operation fails with a flaky-media EIO (transient:
-    /// retried with backoff; a retry re-decides at a fresh op index).
-    pub eio: f64,
-    /// Probability an fsync fails after the data was written (transient).
-    pub fsync: f64,
-    /// Probability a write is torn partway — half the bytes land, then
-    /// the operation errors (transient; the retry rewrites from scratch).
-    pub torn: f64,
-    /// Hard power-cut at exactly this operation index: the operation
-    /// applies a *partial* effect, and every later operation fails — the
-    /// crash-consistency sweep's knob. Not expressible via the env
-    /// grammar's probabilities; `kill_at=<k>` arms it.
-    pub kill_at: Option<u64>,
-}
-
-impl DiskFaultPlan {
-    /// Parses the `SSN_DISK_FAULTS` grammar:
-    /// `seed=<u64>,enospc=<p>,eio=<p>,fsync=<p>,torn=<p>,kill_at=<u64>`
-    /// (all fields optional, any order). `None` for malformed text — a
-    /// production binary logs and ignores a bad env var rather than crash.
-    pub fn parse(text: &str) -> Option<Self> {
-        let mut plan = Self::default();
-        for field in text.split(',') {
-            let field = field.trim();
-            if field.is_empty() {
-                continue;
-            }
-            let (key, value) = field.split_once('=')?;
-            match key.trim() {
-                "seed" => plan.seed = value.trim().parse().ok()?,
-                "enospc" => plan.enospc = parse_prob(value)?,
-                "eio" => plan.eio = parse_prob(value)?,
-                "fsync" => plan.fsync = parse_prob(value)?,
-                "torn" => plan.torn = parse_prob(value)?,
-                "kill_at" => plan.kill_at = Some(value.trim().parse().ok()?),
-                _ => return None,
-            }
-        }
-        Some(plan)
-    }
-
-    /// `true` when the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.enospc > 0.0
-            || self.eio > 0.0
-            || self.fsync > 0.0
-            || self.torn > 0.0
-            || self.kill_at.is_some()
-    }
-
-    fn decide(&self, site: u64, op: u64, prob: f64) -> bool {
-        if prob <= 0.0 {
-            return false;
-        }
-        let mut bytes = [0u8; 24];
-        bytes[..8].copy_from_slice(&self.seed.to_le_bytes());
-        bytes[8..16].copy_from_slice(&site.to_le_bytes());
-        bytes[16..].copy_from_slice(&op.to_le_bytes());
-        let h = crate::durable::fnv1a64(&bytes);
-        // Upper 53 bits → uniform in [0, 1).
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < prob
-    }
-}
-
-fn parse_prob(s: &str) -> Option<f64> {
-    let p: f64 = s.trim().parse().ok()?;
-    (0.0..=1.0).contains(&p).then_some(p)
-}
-
-// Distinct decision streams per fault site at the same op index.
-const SITE_ENOSPC: u64 = 0x5344_4953_4b5f_6e6f;
-const SITE_EIO: u64 = 0x5344_4953_4b5f_6569;
-const SITE_FSYNC: u64 = 0x5344_4953_4b5f_6673;
-const SITE_TORN: u64 = 0x5344_4953_4b5f_746f;
-
 // ---------------------------------------------------------------------------
-// Global arming (mirrors `ssn_server::netfaults`)
+// The plane's storage sites: one table
 // ---------------------------------------------------------------------------
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static KILLED: AtomicBool = AtomicBool::new(false);
-static OPS: AtomicU64 = AtomicU64::new(0);
-static PLAN: Mutex<DiskFaultPlan> = Mutex::new(DiskFaultPlan {
-    seed: 0,
-    enospc: 0.0,
-    eio: 0.0,
-    fsync: 0.0,
-    torn: 0.0,
-    kill_at: None,
-});
-
-/// Arms `plan` process-wide until [`disarm`]; resets the operation
-/// counter and the simulated-death latch.
-pub fn arm(plan: DiskFaultPlan) {
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-    OPS.store(0, Ordering::SeqCst);
-    KILLED.store(false, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+/// The primitives of [`CkptIo`], as rows of the fault table.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    WriteFile,
+    CreateNew,
+    Rename,
+    FsyncDir,
+    Read,
+    RemoveFile,
+    CreateDirAll,
 }
 
-/// Disarms all storage faults; primitives return to direct `std::fs`.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    KILLED.store(false, Ordering::SeqCst);
-}
-
-/// Arms from `SSN_DISK_FAULTS` if set and well-formed; returns the armed
-/// plan so binaries can log what is being attacked.
-pub fn arm_from_env() -> Option<DiskFaultPlan> {
-    let text = std::env::var("SSN_DISK_FAULTS").ok()?;
-    let plan = DiskFaultPlan::parse(&text)?;
-    arm(plan);
-    Some(plan)
-}
-
-/// Operations performed since the plan was armed (the sweep uses this to
-/// size its kill schedule).
-pub fn ops_performed() -> u64 {
-    OPS.load(Ordering::SeqCst)
-}
-
-/// `true` once [`DiskFaultPlan::kill_at`] has fired: the simulated
-/// process is dead and nothing may degrade-and-continue past it — the
-/// durable runner distinguishes "the disk failed" (degrade) from "the
-/// power went out" (typed interrupt) through this.
-pub fn simulated_death() -> bool {
-    KILLED.load(Ordering::SeqCst)
-}
-
-fn armed_plan() -> Option<DiskFaultPlan> {
-    if !ARMED.load(Ordering::SeqCst) {
-        return None;
-    }
-    Some(*PLAN.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// Serializes fault-armed sections across test threads: the op counter
-/// and plan are process-global, so two concurrently armed tests would
-/// perturb each other's schedules.
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` with `plan` armed, then disarms — the test entry point.
-/// Activations are serialized process-wide; a panicking body still
-/// disarms before the panic resumes.
-pub fn with_disk_faults<R>(plan: DiskFaultPlan, f: impl FnOnce() -> R) -> R {
-    let _serialized = gate();
-    arm(plan);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    disarm();
-    match result {
-        Ok(r) => r,
-        Err(payload) => std::panic::resume_unwind(payload),
+/// The fault table: which probabilistic faults can hit `op`, as
+/// `(enospc, torn_write, eio, fsync)`. They are checked in that order,
+/// after `kill_at`; a failed fsync is decided once the real op has run.
+const fn rule(op: Op) -> (bool, bool, bool, bool) {
+    match op {
+        Op::WriteFile => (true, true, true, true),
+        Op::CreateNew => (true, false, true, true),
+        Op::Rename | Op::Read | Op::RemoveFile => (false, false, true, false),
+        Op::FsyncDir => (false, false, false, true),
+        Op::CreateDirAll => (true, false, true, false),
     }
 }
 
-// ---------------------------------------------------------------------------
-// The injecting implementation
-// ---------------------------------------------------------------------------
-
-/// [`CkptIo`] that consults the armed [`DiskFaultPlan`] before delegating
-/// to [`RealIo`]. One operation = one index in the fault schedule.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FaultIo;
-
-impl FaultIo {
-    /// Claims the next operation index; `Err` when the simulated power
-    /// cut already happened (every op after the kill fails).
-    fn next_op(&self) -> io::Result<(DiskFaultPlan, u64)> {
-        let plan = armed_plan().unwrap_or_default();
-        if KILLED.load(Ordering::SeqCst) {
+impl Faults {
+    /// Runs one storage op through the armed plan. `partial` applies what a
+    /// power cut (or a torn write) leaves behind; `real` is the op itself.
+    /// Disarmed, this is exactly `real()`.
+    fn inject<T>(
+        &self,
+        op: Op,
+        partial: impl FnOnce(),
+        real: impl FnOnce() -> io::Result<T>,
+    ) -> io::Result<T> {
+        let Some(armed) = self.armed() else {
+            return real();
+        };
+        // After the power cut every op fails, and none is counted.
+        if armed.dead.load(Ordering::SeqCst) {
             return Err(injected(
                 InjectedFaultKind::Killed,
-                OPS.load(Ordering::SeqCst),
+                armed.disk_ops.load(Ordering::SeqCst),
             ));
         }
-        let op = OPS.fetch_add(1, Ordering::SeqCst);
-        Ok((plan, op))
-    }
-
-    fn kill_fires(&self, plan: &DiskFaultPlan, op: u64) -> bool {
-        if plan.kill_at == Some(op) {
-            KILLED.store(true, Ordering::SeqCst);
-            return true;
+        let n = armed.disk_ops.fetch_add(1, Ordering::SeqCst);
+        let p = &armed.plan;
+        let (enospc, torn, eio, fsync) = rule(op);
+        let fires = |on: bool, site: u64, prob: f64| on && decide(p.seed, site, n, prob);
+        let fault = if p.kill_at == Some(n) {
+            armed.dead.store(true, Ordering::SeqCst);
+            partial();
+            Some(InjectedFaultKind::Killed)
+        } else if fires(enospc, site::ENOSPC, p.enospc) {
+            Some(InjectedFaultKind::Enospc)
+        } else if fires(torn, site::TORN_WRITE, p.torn_write) {
+            partial();
+            Some(InjectedFaultKind::TornWrite)
+        } else if fires(eio, site::EIO, p.eio) {
+            Some(InjectedFaultKind::Eio)
+        } else {
+            None
+        };
+        let fault = match fault {
+            Some(kind) => kind,
+            None => {
+                let out = real()?;
+                if !fires(fsync, site::FSYNC, p.fsync) {
+                    return Ok(out);
+                }
+                InjectedFaultKind::FsyncFailed
+            }
+        };
+        if ssn_telemetry::enabled() {
+            ssn_telemetry::add(ssn_telemetry::names::STORAGE_FAULTS, 1);
         }
-        false
+        Err(injected(fault, n))
     }
 }
 
-fn count_injected(kind: InjectedFaultKind) {
-    if ssn_telemetry::enabled() {
-        let _ = kind;
-        ssn_telemetry::add(ssn_telemetry::names::STORAGE_FAULTS, 1);
-    }
-}
-
-impl CkptIo for FaultIo {
+/// The plane's storage sites: each primitive goes through the fault table,
+/// with the partial effect a cut leaves. Disarmed, every call is [`RealIo`].
+impl CkptIo for Faults {
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            // Power cut mid-write: half the bytes land, nothing is synced.
-            let _ = RealIo.write_file(path, &bytes[..bytes.len() / 2]);
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_ENOSPC, op, plan.enospc) {
-            count_injected(InjectedFaultKind::Enospc);
-            return Err(injected(InjectedFaultKind::Enospc, op));
-        }
-        if plan.decide(SITE_TORN, op, plan.torn) {
-            let _ = RealIo.write_file(path, &bytes[..bytes.len() / 2]);
-            count_injected(InjectedFaultKind::TornWrite);
-            return Err(injected(InjectedFaultKind::TornWrite, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.write_file(path, bytes)?;
-        if plan.decide(SITE_FSYNC, op, plan.fsync) {
-            count_injected(InjectedFaultKind::FsyncFailed);
-            return Err(injected(InjectedFaultKind::FsyncFailed, op));
-        }
-        Ok(())
+        // Cut or torn mid-write: half the bytes land, nothing is synced.
+        let half = || drop(RealIo.write_file(path, &bytes[..bytes.len() / 2]));
+        self.inject(Op::WriteFile, half, || RealIo.write_file(path, bytes))
     }
 
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            // Power cut while taking a lock: the file exists, the PID
-            // never lands — exactly the torn-lock case staleness covers.
-            let _ = RealIo.create_new(path, b"");
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_ENOSPC, op, plan.enospc) {
-            count_injected(InjectedFaultKind::Enospc);
-            return Err(injected(InjectedFaultKind::Enospc, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.create_new(path, bytes)?;
-        if plan.decide(SITE_FSYNC, op, plan.fsync) {
-            count_injected(InjectedFaultKind::FsyncFailed);
-            return Err(injected(InjectedFaultKind::FsyncFailed, op));
-        }
-        Ok(())
+        // Cut while taking a lock: the file exists, the PID never lands —
+        // the torn-lock husk that staleness recovery covers.
+        let husk = || drop(RealIo.create_new(path, b""));
+        self.inject(Op::CreateNew, husk, || RealIo.create_new(path, bytes))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            // Power cut before the rename: the temp file stays orphaned.
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.rename(from, to)
+        // Cut before the rename: the temp file stays orphaned.
+        self.inject(Op::Rename, || {}, || RealIo.rename(from, to))
     }
 
     fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_FSYNC, op, plan.fsync) {
-            count_injected(InjectedFaultKind::FsyncFailed);
-            return Err(injected(InjectedFaultKind::FsyncFailed, op));
-        }
-        RealIo.fsync_dir(dir)
+        self.inject(Op::FsyncDir, || {}, || RealIo.fsync_dir(dir))
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.read(path)
+        self.inject(Op::Read, || {}, || RealIo.read(path))
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.remove_file(path)
+        self.inject(Op::RemoveFile, || {}, || RealIo.remove_file(path))
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        let (plan, op) = self.next_op()?;
-        if self.kill_fires(&plan, op) {
-            count_injected(InjectedFaultKind::Killed);
-            return Err(injected(InjectedFaultKind::Killed, op));
-        }
-        if plan.decide(SITE_ENOSPC, op, plan.enospc) {
-            count_injected(InjectedFaultKind::Enospc);
-            return Err(injected(InjectedFaultKind::Enospc, op));
-        }
-        if plan.decide(SITE_EIO, op, plan.eio) {
-            count_injected(InjectedFaultKind::Eio);
-            return Err(injected(InjectedFaultKind::Eio, op));
-        }
-        RealIo.create_dir_all(path)
-    }
-}
-
-static REAL: RealIo = RealIo;
-static FAULTY: FaultIo = FaultIo;
-
-/// The active [`CkptIo`]: [`RealIo`] when disarmed (one relaxed atomic
-/// load of overhead), the injector while a plan is armed.
-pub fn io() -> &'static dyn CkptIo {
-    if ARMED.load(Ordering::Relaxed) {
-        &FAULTY
-    } else {
-        &REAL
+        self.inject(Op::CreateDirAll, || {}, || RealIo.create_dir_all(path))
     }
 }
 
@@ -632,6 +407,7 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
@@ -647,114 +423,84 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_env_grammar() {
-        let p = DiskFaultPlan::parse("seed=9,enospc=0.25,eio=0.5,fsync=1,torn=0.1").unwrap();
-        assert_eq!(p.seed, 9);
-        assert_eq!(p.enospc, 0.25);
-        assert_eq!(p.eio, 0.5);
-        assert_eq!(p.fsync, 1.0);
-        assert_eq!(p.torn, 0.1);
-        assert_eq!(p.kill_at, None);
-        assert!(p.is_active());
-        let p = DiskFaultPlan::parse("kill_at=7").unwrap();
-        assert_eq!(p.kill_at, Some(7));
-        assert_eq!(
-            DiskFaultPlan::parse("").unwrap(),
-            DiskFaultPlan::default(),
-            "empty text is the inert plan"
-        );
-        assert!(!DiskFaultPlan::default().is_active());
-        assert!(DiskFaultPlan::parse("enospc=2").is_none());
-        assert!(DiskFaultPlan::parse("zebra=1").is_none());
-        assert!(DiskFaultPlan::parse("eio").is_none());
-    }
-
-    #[test]
-    fn decisions_are_deterministic_and_probability_shaped() {
-        let p = DiskFaultPlan {
-            seed: 3,
-            eio: 0.5,
-            ..DiskFaultPlan::default()
-        };
-        let fired: Vec<bool> = (0..1000).map(|op| p.decide(SITE_EIO, op, p.eio)).collect();
-        let again: Vec<bool> = (0..1000).map(|op| p.decide(SITE_EIO, op, p.eio)).collect();
-        assert_eq!(fired, again);
-        let count = fired.iter().filter(|&&b| b).count();
-        assert!((300..700).contains(&count), "got {count} of 1000 at p=0.5");
-        // Sites are independent streams at the same op index.
-        let other: Vec<bool> = (0..1000).map(|op| p.decide(SITE_TORN, op, 0.5)).collect();
-        assert_ne!(fired, other);
-    }
-
-    #[test]
-    fn disarmed_layer_is_the_real_filesystem() {
-        disarm();
+    fn disarmed_plane_is_the_real_filesystem() {
+        let io = Faults::none();
         let path = temp_path("real");
-        io().write_file(&path, b"plain").unwrap();
-        assert_eq!(io().read(&path).unwrap(), b"plain");
-        io().remove_file(&path).unwrap();
-        assert!(io().read(&path).is_err());
+        io.write_file(&path, b"plain").unwrap();
+        assert_eq!(io.read(&path).unwrap(), b"plain");
+        io.remove_file(&path).unwrap();
+        assert!(io.read(&path).is_err());
+        assert_eq!(io.disk_ops(), 0, "a disarmed plane counts nothing");
     }
 
     #[test]
     fn enospc_schedule_fails_writes_typed_and_leaves_no_file() {
         let path = temp_path("enospc");
-        with_disk_faults(
-            DiskFaultPlan {
-                enospc: 1.0,
-                ..DiskFaultPlan::default()
-            },
-            || {
-                let e = io().write_file(&path, b"doomed").unwrap_err();
-                assert_eq!(e.kind(), io::ErrorKind::StorageFull);
-                assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Enospc));
-                assert!(!is_transient(&e), "ENOSPC must not be retried");
-                assert!(!path.exists(), "a failed allocation writes nothing");
-            },
-        );
+        let io = Faults::arm(FaultPlan {
+            enospc: 1.0,
+            ..FaultPlan::default()
+        });
+        let e = io.write_file(&path, b"doomed").unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Enospc));
+        assert!(!is_transient(&e), "ENOSPC must not be retried");
+        assert!(!path.exists(), "a failed allocation writes nothing");
     }
 
     #[test]
     fn torn_write_leaves_half_the_bytes_and_is_transient() {
         let path = temp_path("torn");
-        with_disk_faults(
-            DiskFaultPlan {
-                torn: 1.0,
-                ..DiskFaultPlan::default()
-            },
-            || {
-                let e = io().write_file(&path, &[7u8; 64]).unwrap_err();
-                assert_eq!(injected_fault(&e), Some(InjectedFaultKind::TornWrite));
-                assert!(is_transient(&e));
-                let on_disk = std::fs::read(&path).unwrap();
-                assert_eq!(on_disk.len(), 32, "exactly half the bytes landed");
-            },
-        );
+        let io = Faults::arm(FaultPlan {
+            torn_write: 1.0,
+            ..FaultPlan::default()
+        });
+        let e = io.write_file(&path, &[7u8; 64]).unwrap_err();
+        assert_eq!(injected_fault(&e), Some(InjectedFaultKind::TornWrite));
+        assert!(is_transient(&e));
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk.len(), 32, "exactly half the bytes landed");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_fsync_applies_to_exactly_the_syncing_ops() {
+        let path = temp_path("fsync");
+        let io = Faults::arm(FaultPlan {
+            fsync: 1.0,
+            ..FaultPlan::default()
+        });
+        let e = io.write_file(&path, b"landed").unwrap_err();
+        assert_eq!(injected_fault(&e), Some(InjectedFaultKind::FsyncFailed));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"landed",
+            "data reached the file"
+        );
+        assert!(io.fsync_dir(&std::env::temp_dir()).is_err());
+        assert_eq!(io.read(&path).unwrap(), b"landed", "reads never fsync");
+        io.remove_file(&path).unwrap();
     }
 
     #[test]
     fn kill_at_applies_partial_effect_then_everything_fails() {
         let a = temp_path("kill-a");
         let b = temp_path("kill-b");
-        with_disk_faults(
-            DiskFaultPlan {
-                kill_at: Some(1),
-                ..DiskFaultPlan::default()
-            },
-            || {
-                io().write_file(&a, &[1u8; 10]).unwrap(); // op 0 survives
-                let e = io().write_file(&b, &[2u8; 10]).unwrap_err(); // op 1 dies
-                assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Killed));
-                assert_eq!(std::fs::read(&b).unwrap().len(), 5, "torn at the cut");
-                // The process is dead: every later operation fails too.
-                let e = io().read(&a).unwrap_err();
-                assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Killed));
-                assert!(!is_transient(&e), "death is not retryable");
-            },
-        );
-        // Disarmed again: the world is readable.
-        assert_eq!(io().read(&a).unwrap(), vec![1u8; 10]);
+        let io = Faults::arm(FaultPlan {
+            kill_at: Some(1),
+            ..FaultPlan::default()
+        });
+        io.write_file(&a, &[1u8; 10]).unwrap(); // op 0 survives
+        let e = io.write_file(&b, &[2u8; 10]).unwrap_err(); // op 1 dies
+        assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Killed));
+        assert_eq!(std::fs::read(&b).unwrap().len(), 5, "torn at the cut");
+        assert!(io.dead());
+        // The process is dead: every later operation fails too.
+        let e = io.read(&a).unwrap_err();
+        assert_eq!(injected_fault(&e), Some(InjectedFaultKind::Killed));
+        assert!(!is_transient(&e), "death is not retryable");
+        assert_eq!(io.disk_ops(), 2, "ops after the cut are not counted");
+        // Another run's plane is untouched by this one's death.
+        assert_eq!(Faults::none().read(&a).unwrap(), vec![1u8; 10]);
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
     }
@@ -801,14 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn op_counter_counts_only_while_armed() {
+    fn op_counter_counts_every_gated_op() {
         let path = temp_path("ops");
-        with_disk_faults(DiskFaultPlan::default(), || {
-            assert_eq!(ops_performed(), 0);
-            io().write_file(&path, b"x").unwrap();
-            io().read(&path).unwrap();
-            io().remove_file(&path).unwrap();
-            assert_eq!(ops_performed(), 3);
-        });
+        let io = Faults::arm(FaultPlan::default());
+        io.write_file(&path, b"x").unwrap();
+        io.read(&path).unwrap();
+        io.remove_file(&path).unwrap();
+        assert_eq!(io.disk_ops(), 3);
     }
 }

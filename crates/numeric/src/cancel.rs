@@ -1,11 +1,16 @@
-//! Process-wide cooperative deadline checks for long-running kernels.
+//! Cooperative deadline checks for long-running kernels.
 //!
 //! The durable-execution layer (`ssn-core::durable`) gives a run a
 //! wall-clock budget; chunk boundaries check it between work items, but a
 //! single RKF45 integration or MNA transient can run long past the deadline
-//! on its own. This module is the hook those *inner loops* poll: a single
-//! process-global deadline slot, armed by the layer that owns the budget
-//! and checked with two relaxed atomic loads per iteration.
+//! on its own. This module is the hook those *inner loops* poll: a
+//! per-thread deadline slot, armed by the layer that owns the budget and
+//! checked with one thread-local load per iteration.
+//!
+//! The slot belongs to the run, not the process. [`arm`] sets it on the
+//! calling thread only, and the parallel engine hands it to its workers
+//! ([`current`] on the spawning thread, [`Deadline::enter`] on each
+//! worker), so concurrent runs each see their own budget and nothing else.
 //!
 //! Determinism contract: with no deadline armed, [`deadline_exceeded`]
 //! returns `false` without reading the clock — kernels behave bit-for-bit
@@ -13,18 +18,18 @@
 //! unchanged; only the *cut itself* depends on wall time, and callers are
 //! required to discard (never partially use) the work of a cancelled
 //! kernel, which keeps results a function of the inputs alone.
-//!
-//! Only one deadline is active at a time ([`arm`] returns an RAII guard
-//! that restores the previous state on drop); concurrent runs that each
-//! want a budget must serialize, which the durable layer does.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Deadline state: armed flag + nanoseconds since the process anchor.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static DEADLINE_NS: AtomicU64 = AtomicU64::new(u64::MAX);
+/// "No deadline" in the slot.
+const UNARMED: u64 = u64::MAX;
+
+thread_local! {
+    /// This thread's deadline, in nanoseconds since the process anchor.
+    static SLOT: Cell<u64> = const { Cell::new(UNARMED) };
+}
 
 /// The fixed time origin deadlines are encoded against.
 fn anchor() -> Instant {
@@ -32,93 +37,75 @@ fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
-/// Restores the previous deadline state when dropped.
+/// A thread's deadline, captured by [`current`] so it can be handed to
+/// another thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline(u64);
+
+impl Deadline {
+    /// Installs this deadline on the calling thread until the returned
+    /// guard drops.
+    pub fn enter(self) -> DeadlineGuard {
+        DeadlineGuard {
+            prev: SLOT.with(|s| s.replace(self.0)),
+        }
+    }
+}
+
+/// Restores the thread's previous deadline when dropped.
 #[derive(Debug)]
 pub struct DeadlineGuard {
-    prev_armed: bool,
-    prev_ns: u64,
+    prev: u64,
 }
 
 impl Drop for DeadlineGuard {
     fn drop(&mut self) {
-        DEADLINE_NS.store(self.prev_ns, Ordering::Relaxed);
-        ARMED.store(self.prev_armed, Ordering::Relaxed);
+        SLOT.with(|s| s.set(self.prev));
     }
 }
 
-/// Arms the process-wide deadline `budget` from now; inner loops observe it
-/// through [`deadline_exceeded`] until the returned guard drops.
+/// Arms a deadline `budget` from now on the calling thread; its inner loops
+/// observe it through [`deadline_exceeded`] until the returned guard drops.
 ///
 /// `None` arms "no deadline" explicitly (useful to mask an outer deadline
 /// for a sub-computation that must run to completion).
 pub fn arm(budget: Option<Duration>) -> DeadlineGuard {
-    let guard = DeadlineGuard {
-        prev_armed: ARMED.load(Ordering::Relaxed),
-        prev_ns: DEADLINE_NS.load(Ordering::Relaxed),
-    };
-    match budget {
-        Some(budget) => {
-            let now = anchor().elapsed();
-            let ns = now.checked_add(budget).map_or(u64::MAX, |t| {
-                u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
-            });
-            DEADLINE_NS.store(ns, Ordering::Relaxed);
-            ARMED.store(true, Ordering::Relaxed);
-        }
-        None => {
-            ARMED.store(false, Ordering::Relaxed);
-            DEADLINE_NS.store(u64::MAX, Ordering::Relaxed);
-        }
-    }
-    guard
+    let ns = budget.map_or(UNARMED, |budget| {
+        anchor()
+            .elapsed()
+            .checked_add(budget)
+            .map_or(UNARMED, |t| u64::try_from(t.as_nanos()).unwrap_or(UNARMED))
+    });
+    Deadline(ns).enter()
 }
 
-/// Time left before the armed deadline (zero once past it), or `None` when
-/// no deadline is armed. Unlike [`deadline_exceeded`] this is *not* a
-/// hot-loop primitive — the network layer uses it to derive per-I/O socket
-/// timeouts from the same budget the kernels poll, so a slow peer cannot
-/// outlive the request deadline by hiding in a blocking read or write.
-pub fn remaining() -> Option<Duration> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let deadline = DEADLINE_NS.load(Ordering::Relaxed);
-    let now = u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Some(Duration::from_nanos(deadline.saturating_sub(now)))
+/// The calling thread's deadline, for handing to worker threads.
+pub fn current() -> Deadline {
+    Deadline(SLOT.with(Cell::get))
 }
 
-/// `true` once the armed deadline has passed. Unarmed: always `false`, and
-/// the clock is never read.
+/// `true` once the calling thread's deadline has passed. Unarmed: always
+/// `false`, and the clock is never read.
 #[inline]
 pub fn deadline_exceeded() -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
+    let deadline = SLOT.with(Cell::get);
+    if deadline == UNARMED {
         return false;
     }
-    let deadline = DEADLINE_NS.load(Ordering::Relaxed);
-    u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX) >= deadline
+    u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(UNARMED) >= deadline
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The deadline slot is process-global; serialize the tests that arm it.
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        GATE.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn unarmed_never_exceeds() {
-        let _gate = serialized();
         assert!(!deadline_exceeded());
     }
 
     #[test]
     fn zero_budget_exceeds_immediately_and_guard_restores() {
-        let _gate = serialized();
         {
             let _g = arm(Some(Duration::ZERO));
             assert!(deadline_exceeded());
@@ -128,34 +115,12 @@ mod tests {
 
     #[test]
     fn generous_budget_does_not_fire() {
-        let _gate = serialized();
         let _g = arm(Some(Duration::from_secs(3600)));
         assert!(!deadline_exceeded());
     }
 
     #[test]
-    fn remaining_tracks_the_armed_deadline() {
-        let _gate = serialized();
-        assert_eq!(remaining(), None, "unarmed reports no remaining budget");
-        {
-            let _g = arm(Some(Duration::from_secs(3600)));
-            let left = remaining().expect("armed deadline reports remaining");
-            assert!(left > Duration::from_secs(3000) && left <= Duration::from_secs(3600));
-        }
-        {
-            let _g = arm(Some(Duration::ZERO));
-            assert_eq!(
-                remaining(),
-                Some(Duration::ZERO),
-                "past deadline clamps to zero"
-            );
-        }
-        assert_eq!(remaining(), None, "guard drop restores the unarmed state");
-    }
-
-    #[test]
     fn nested_arms_restore_the_outer_deadline() {
-        let _gate = serialized();
         let _outer = arm(Some(Duration::ZERO));
         assert!(deadline_exceeded());
         {
@@ -163,5 +128,19 @@ mod tests {
             assert!(!deadline_exceeded(), "inner mask must hide the deadline");
         }
         assert!(deadline_exceeded(), "outer deadline restored");
+    }
+
+    #[test]
+    fn a_deadline_reaches_only_the_threads_it_is_handed_to() {
+        let _g = arm(Some(Duration::ZERO));
+        let handed = current();
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!deadline_exceeded(), "other threads are unaffected"));
+            s.spawn(move || {
+                let _worker = handed.enter();
+                assert!(deadline_exceeded(), "the handed-off deadline applies");
+            });
+        });
+        assert!(deadline_exceeded());
     }
 }

@@ -26,8 +26,9 @@
 //!   (the batched Monte Carlo hot path),
 //! * [`rng`] — deterministic, stream-splittable pseudo-random numbers
 //!   (xoshiro256++) for Monte Carlo work,
-//! * [`cancel`] — process-wide cooperative deadline checks polled by the
-//!   long-running kernels (RKF45, and the MNA transient loop downstream),
+//! * [`cancel`] — per-run cooperative deadline checks (a thread-local slot the
+//!   parallel engine hands to its workers) polled by the long-running kernels
+//!   (RKF45, and the MNA transient loop downstream),
 //! * [`check`] — a minimal deterministic property-testing harness,
 //! * [`shrink`] — deterministic counterexample shrinking toward a
 //!   reference anchor (the companion the `check` harness deliberately

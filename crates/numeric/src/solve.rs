@@ -18,8 +18,8 @@ use std::fmt;
 
 /// Bitmask names for the ladder rungs, used by [`SolveOptions::disabled_rungs`].
 ///
-/// Disabling rungs exists so tests (and the fault-injection harness in
-/// `ssn-core`) can force the ladder onto its fallback paths without
+/// Disabling rungs exists so tests (and the fault plane in `ssn-core`)
+/// can force the ladder onto its fallback paths without
 /// monkey-patching the finders themselves.
 pub mod rung {
     /// The `newton_bracketed` rung (only present in

@@ -667,20 +667,26 @@ impl ApiRequest {
             }
             Self::Sweep { .. } | Self::Validate { .. } | Self::Optimize { .. } => {
                 let durable = DurableOptions::none();
-                self.run_durable(&durable).map(|(bytes, _)| bytes)
+                self.run_durable(&durable, &ExecPolicy::auto())
+                    .map(|(bytes, _)| bytes)
             }
         }
     }
 
     /// Runs the request under the durable engine: checkpoint journal,
     /// resume, and a cancellable budget (the job path; also the sync path
-    /// for sweep/validate with [`DurableOptions::none`]).
+    /// for sweep/validate with [`DurableOptions::none`]). `policy` carries
+    /// the run's threads and fault plane.
     ///
     /// # Errors
     ///
     /// Typed [`ApiError`]; [`SsnError::Checkpoint`]/
     /// [`SsnError::Interrupted`] map to 5xx kinds the job ledger records.
-    pub fn run_durable(&self, durable: &DurableOptions) -> Result<(Vec<u8>, Durability), ApiError> {
+    pub fn run_durable(
+        &self,
+        durable: &DurableOptions,
+        policy: &ExecPolicy,
+    ) -> Result<(Vec<u8>, Durability), ApiError> {
         match self {
             Self::Estimate { .. } | Self::Budget { .. } => {
                 // Closed forms are instant; durability is meaningless.
@@ -694,14 +700,8 @@ impl ApiRequest {
                 budget,
             } => {
                 let scenario = sc.build()?;
-                let (result, stats, durability) = run_monte_carlo_durable(
-                    &scenario,
-                    var,
-                    *samples,
-                    *seed,
-                    &ExecPolicy::auto(),
-                    durable,
-                )?;
+                let (result, stats, durability) =
+                    run_monte_carlo_durable(&scenario, var, *samples, *seed, policy, durable)?;
                 if stats.failed_chunks > 0 {
                     return Err(ApiError {
                         status: 500,
@@ -722,7 +722,7 @@ impl ApiRequest {
                     &scenario,
                     &drivers,
                     &inductances,
-                    &ExecPolicy::auto(),
+                    policy,
                     durable,
                 )?;
                 if stats.failed_chunks > 0 {
@@ -742,6 +742,7 @@ impl ApiRequest {
                     corpus: *corpus,
                     seed: *seed,
                     max_repros: 0,
+                    exec: policy.clone(),
                     ..OracleOptions::default()
                 };
                 let (report, durability) = run_differential_durable(&opts, durable)?;
@@ -749,13 +750,8 @@ impl ApiRequest {
             }
             Self::Optimize { .. } => {
                 let (template, space, opts) = self.optimize_inputs()?;
-                let (outcome, stats, durability) = optimize::search_durable(
-                    &template,
-                    &space,
-                    &opts,
-                    &ExecPolicy::auto(),
-                    durable,
-                )?;
+                let (outcome, stats, durability) =
+                    optimize::search_durable(&template, &space, &opts, policy, durable)?;
                 if stats.failed_chunks > 0 {
                     return Err(ApiError {
                         status: 500,
@@ -1071,7 +1067,9 @@ mod tests {
         )
         .unwrap();
         let sync = req.run_sync().unwrap();
-        let (durable, d) = req.run_durable(&DurableOptions::none()).unwrap();
+        let (durable, d) = req
+            .run_durable(&DurableOptions::none(), &ExecPolicy::auto())
+            .unwrap();
         assert_eq!(
             sync, durable,
             "sync and durable paths render identical bytes"
@@ -1104,7 +1102,9 @@ mod tests {
         .unwrap();
         assert_eq!(req.work_items(), 5 * 3 * 2 * 2);
         let sync = req.run_sync().unwrap();
-        let (durable, _) = req.run_durable(&DurableOptions::none()).unwrap();
+        let (durable, _) = req
+            .run_durable(&DurableOptions::none(), &ExecPolicy::auto())
+            .unwrap();
         assert_eq!(
             sync, durable,
             "sync and durable paths render identical bytes"

@@ -16,14 +16,15 @@
 //! Every disk entry is framed with a magic and an FNV-1a checksum of its
 //! payload. An entry that fails to read, frame, or verify is a *miss*:
 //! the bad file is deleted and the result recomputed — a flipped bit on
-//! the spool disk must never be served as a valid response. Disk writes
-//! go through the [`ssn_core::storage`] fault layer; a persistent write
-//! failure flips the cache into declared degraded mode (served from
-//! memory only, `disk_degraded` gauge raised) until a write succeeds
-//! again.
+//! the spool disk must never be served as a valid response. Disk I/O goes
+//! through the server's fault plane ([`ResultCache::with_faults`]); a
+//! persistent write failure flips the cache into declared degraded mode
+//! (served from memory only, `disk_degraded` gauge raised) until a write
+//! succeeds again.
 
 use ssn_core::durable::fnv1a64;
-use ssn_core::storage;
+use ssn_core::faults::Faults;
+use ssn_core::storage::{self, CkptIo, RealIo};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,6 +61,8 @@ pub struct ResultCache {
     /// lowered when a later write lands — the `/metrics` `disk_degraded`
     /// gauge reads this.
     disk_degraded: AtomicBool,
+    /// The storage sites of the owning server's fault plane.
+    faults: Faults,
 }
 
 impl ResultCache {
@@ -72,7 +75,7 @@ impl ResultCache {
     /// I/O errors creating the spool directory.
     pub fn new(dir: Option<PathBuf>) -> std::io::Result<Self> {
         if let Some(d) = &dir {
-            storage::io().create_dir_all(d)?;
+            RealIo.create_dir_all(d)?;
             sweep_orphan_tmps(d);
         }
         Ok(Self {
@@ -81,7 +84,14 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disk_degraded: AtomicBool::new(false),
+            faults: Faults::none(),
         })
+    }
+
+    /// Routes every later spool read and write through `faults`.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
     }
 
     fn path_for(dir: &Path, digest: u64) -> PathBuf {
@@ -101,7 +111,8 @@ impl ResultCache {
         if let Some(dir) = &self.dir {
             let path = Self::path_for(dir, digest);
             if path.exists() {
-                match storage::io()
+                match self
+                    .faults
                     .read(&path)
                     .ok()
                     .as_deref()
@@ -116,7 +127,7 @@ impl ResultCache {
                     None => {
                         // Corrupt or unreadable: purge it so the recompute
                         // can overwrite, and fall through to a miss.
-                        let _ = storage::io().remove_file(&path);
+                        let _ = self.faults.remove_file(&path);
                     }
                 }
             }
@@ -145,7 +156,7 @@ impl ResultCache {
     pub fn put(&self, digest: u64, bytes: Vec<u8>) {
         let bytes = Arc::new(bytes);
         if let Some(dir) = &self.dir {
-            match Self::write_atomic(dir, digest, &bytes) {
+            match Self::write_atomic(&self.faults, dir, digest, &bytes) {
                 Ok(()) => self.disk_degraded.store(false, Ordering::Relaxed),
                 Err(_) => {
                     if !self.disk_degraded.swap(true, Ordering::Relaxed) && ssn_telemetry::enabled()
@@ -161,14 +172,14 @@ impl ResultCache {
             .insert(digest, bytes);
     }
 
-    fn write_atomic(dir: &Path, digest: u64, bytes: &[u8]) -> std::io::Result<()> {
+    fn write_atomic(io: &dyn CkptIo, dir: &Path, digest: u64, bytes: &[u8]) -> std::io::Result<()> {
         let tmp = dir.join(format!("res-{digest:016x}.tmp"));
         let finalp = Self::path_for(dir, digest);
         let entry = encode_entry(bytes);
         storage::RetryPolicy::default().run(|| {
-            storage::io().write_file(&tmp, &entry)?;
-            storage::io().rename(&tmp, &finalp)?;
-            storage::io().fsync_dir(dir)
+            io.write_file(&tmp, &entry)?;
+            io.rename(&tmp, &finalp)?;
+            io.fsync_dir(dir)
         })
     }
 
@@ -195,7 +206,7 @@ fn sweep_orphan_tmps(dir: &Path) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.extension().is_some_and(|e| e == "tmp") {
-            let _ = storage::io().remove_file(&path);
+            let _ = RealIo.remove_file(&path);
         }
     }
 }
@@ -292,16 +303,13 @@ mod tests {
     #[test]
     fn persistent_write_failure_degrades_to_memory_only_and_recovers() {
         let dir = tmpdir("degrade");
-        let c = ResultCache::new(Some(dir.clone())).unwrap();
-        ssn_core::storage::with_disk_faults(
-            ssn_core::storage::DiskFaultPlan {
+        let c = ResultCache::new(Some(dir.clone()))
+            .unwrap()
+            .with_faults(Faults::arm(ssn_core::faults::FaultPlan {
                 enospc: 1.0,
                 ..Default::default()
-            },
-            || {
-                c.put(7, b"computed-anyway".to_vec());
-            },
-        );
+            }));
+        c.put(7, b"computed-anyway".to_vec());
         assert!(c.disk_degraded(), "full disk raises the degraded flag");
         assert_eq!(
             c.get(7).unwrap().as_slice(),
@@ -309,6 +317,7 @@ mod tests {
             "memory tier still serves the result"
         );
         // Disk recovers: the next write lands and lowers the flag.
+        let c = c.with_faults(Faults::none());
         c.put(8, b"later".to_vec());
         assert!(!c.disk_degraded());
         assert!(ResultCache::path_for(&dir, 8).exists());

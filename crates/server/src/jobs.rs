@@ -24,6 +24,9 @@
 use crate::api::{ApiError, ApiRequest};
 use crate::cache::ResultCache;
 use ssn_core::durable::{DurableOptions, RunBudget};
+use ssn_core::faults::Faults;
+use ssn_core::parallel::ExecPolicy;
+use ssn_core::storage::{CkptIo, RealIo};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,6 +102,8 @@ struct QueueShared {
     capacity: usize,
     spool: PathBuf,
     cache: Arc<ResultCache>,
+    /// Every job runs under this policy, whose fault plane is the server's.
+    policy: ExecPolicy,
     draining: AtomicBool,
     shed: AtomicU64,
     completed: AtomicU64,
@@ -117,7 +122,8 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// Starts `workers` worker threads over a queue of at most `capacity`
-    /// pending jobs, spooling journals and results into `spool`.
+    /// pending jobs, spooling journals and results into `spool`. Jobs and
+    /// spool I/O run under `faults`; creating the spool does not.
     ///
     /// # Errors
     ///
@@ -127,14 +133,16 @@ impl JobQueue {
         workers: usize,
         spool: PathBuf,
         cache: Arc<ResultCache>,
+        faults: Faults,
     ) -> std::io::Result<Self> {
-        ssn_core::storage::io().create_dir_all(&spool)?;
+        RealIo.create_dir_all(&spool)?;
         let shared = Arc::new(QueueShared {
             state: Mutex::new(QueueState::default()),
             cond: Condvar::new(),
             capacity: capacity.max(1),
             spool,
             cache,
+            policy: ExecPolicy::auto().with_faults(faults),
             draining: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -176,7 +184,7 @@ impl JobQueue {
         // one sheds the durable job rather than admit work whose journal
         // cannot be written.
         if self.shared.disk_degraded.load(Ordering::SeqCst) {
-            if spool_probe_writable(&self.shared.spool) {
+            if spool_probe_writable(self.shared.policy.faults(), &self.shared.spool) {
                 self.shared.disk_degraded.store(false, Ordering::SeqCst);
             } else {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
@@ -337,18 +345,18 @@ fn journal_family_exists(journal: &std::path::Path) -> bool {
     journal_family(journal).iter().any(|p| p.exists())
 }
 
-fn remove_journal_family(journal: &std::path::Path) {
+fn remove_journal_family(io: &dyn CkptIo, journal: &std::path::Path) {
     for p in journal_family(journal) {
-        let _ = ssn_core::storage::io().remove_file(&p);
+        let _ = io.remove_file(&p);
     }
 }
 
 /// One small write-then-delete through the fault layer: can the spool
 /// take a journal right now?
-fn spool_probe_writable(spool: &std::path::Path) -> bool {
+fn spool_probe_writable(io: &dyn CkptIo, spool: &std::path::Path) -> bool {
     let probe = spool.join(format!(".probe-{}", std::process::id()));
-    let ok = ssn_core::storage::io().write_file(&probe, b"probe").is_ok();
-    let _ = ssn_core::storage::io().remove_file(&probe);
+    let ok = io.write_file(&probe, b"probe").is_ok();
+    let _ = io.remove_file(&probe);
     ok
 }
 
@@ -390,7 +398,7 @@ fn worker_loop(shared: &Arc<QueueShared>) {
             resume,
             budget: budget.clone(),
         };
-        let outcome = request.run_durable(&durable);
+        let outcome = request.run_durable(&durable, &shared.policy);
 
         let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
         let status = match outcome {
@@ -414,7 +422,7 @@ fn worker_loop(shared: &Arc<QueueShared>) {
                         .resumed_chunks
                         .fetch_add(durability.resumed_chunks as u64, Ordering::Relaxed);
                     shared.cache.put(digest, bytes);
-                    remove_journal_family(&journal);
+                    remove_journal_family(shared.policy.faults(), &journal);
                     shared.completed.fetch_add(1, Ordering::Relaxed);
                     JobStatus::Done
                 }
@@ -432,7 +440,7 @@ fn worker_loop(shared: &Arc<QueueShared>) {
             Err(e) => {
                 // A deterministic failure would fail again on resume; a
                 // corrupt journal must not poison the next attempt.
-                remove_journal_family(&journal);
+                remove_journal_family(shared.policy.faults(), &journal);
                 JobStatus::Failed(e)
             }
         };
@@ -489,7 +497,7 @@ mod tests {
     fn submits_run_and_publish_to_the_cache() {
         let spool = tmp_spool("run");
         let cache = Arc::new(ResultCache::new(Some(spool.clone())).unwrap());
-        let q = JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache)).unwrap();
+        let q = JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache), Faults::none()).unwrap();
         let req = mc_request("600", "3");
         let digest = req.digest();
         assert_eq!(q.submit(&req), SubmitOutcome::Accepted);
@@ -517,7 +525,7 @@ mod tests {
         let cache = Arc::new(ResultCache::new(None).unwrap());
         // Zero workers is clamped to one; use a tiny capacity and distinct
         // seeds so each submission is a distinct digest.
-        let q = JobQueue::start(2, 1, spool.clone(), cache).unwrap();
+        let q = JobQueue::start(2, 1, spool.clone(), cache, Faults::none()).unwrap();
         let mut outcomes = Vec::new();
         for seed in 0..20 {
             outcomes.push(q.submit(&mc_request("4096", &seed.to_string())));
@@ -539,7 +547,7 @@ mod tests {
     fn drain_interrupts_a_running_job_and_resubmission_resumes_it() {
         let spool = tmp_spool("resume");
         let cache = Arc::new(ResultCache::new(Some(spool.clone())).unwrap());
-        let q = JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache)).unwrap();
+        let q = JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache), Faults::none()).unwrap();
         // Big enough to have many chunks (256 samples each).
         let req = mc_request("20000", "11");
         let digest = req.digest();
@@ -564,7 +572,8 @@ mod tests {
             // A second queue over the same spool (the restarted server)
             // resumes the journal — or recomputes from scratch — and
             // finishes the job either way.
-            let q2 = JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache)).unwrap();
+            let q2 =
+                JobQueue::start(4, 1, spool.clone(), Arc::clone(&cache), Faults::none()).unwrap();
             assert_eq!(q2.submit(&req), SubmitOutcome::Accepted);
             assert_eq!(
                 wait_done(&q2, digest, Duration::from_secs(120)),

@@ -22,8 +22,8 @@ use crate::cache::ResultCache;
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobQueue, JobStatus, SubmitOutcome};
 use crate::json::Obj;
-use crate::netfaults;
 use ssn_core::durable::RunBudget;
+use ssn_core::faults::Faults;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,6 +58,11 @@ pub struct ServerConfig {
     pub sync_max_validate: usize,
     /// How long a drain may take before the server gives up waiting.
     pub drain_deadline: Duration,
+    /// The server's fault plane (see `ssn_core::faults`): its network
+    /// sites attack connections, its storage sites the cache and spool,
+    /// and its crash and worker sites the durable jobs. Disarmed by
+    /// default; `ssn serve` arms it from `SSN_FAULTS`.
+    pub faults: Faults,
 }
 
 impl Default for ServerConfig {
@@ -73,6 +78,7 @@ impl Default for ServerConfig {
             sync_max_items: 2048,
             sync_max_validate: 4,
             drain_deadline: Duration::from_secs(30),
+            faults: Faults::none(),
         }
     }
 }
@@ -151,7 +157,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, arms env-configured network faults, and starts accepting.
+    /// Binds, opens the spool, and starts accepting.
     ///
     /// # Errors
     ///
@@ -168,16 +174,19 @@ impl Server {
         let spool = cfg.spool.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!("ssn-spool-{}", std::process::id()))
         });
-        let cache = Arc::new(ResultCache::new(Some(spool.clone())).map_err(ServeError::Spool)?);
+        let cache = Arc::new(
+            ResultCache::new(Some(spool.clone()))
+                .map_err(ServeError::Spool)?
+                .with_faults(cfg.faults.clone()),
+        );
         let queue = JobQueue::start(
             cfg.queue_capacity,
             cfg.job_workers,
             spool,
             Arc::clone(&cache),
+            cfg.faults.clone(),
         )
         .map_err(ServeError::Spool)?;
-        netfaults::arm_from_env();
-        ssn_core::storage::arm_from_env();
 
         let shared = Arc::new(Shared {
             cfg,
@@ -338,7 +347,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
 
     let request = match parsed {
         Ok(mut r) => {
-            if netfaults::torn_body(serial) && !r.body.is_empty() {
+            if shared.cfg.faults.torn_body(serial) && !r.body.is_empty() {
                 // Injected transport fault: pretend the peer hung up
                 // mid-body. Must surface exactly like a real torn body.
                 r.body.truncate(r.body.len() / 2);
@@ -367,7 +376,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
     // Handlers are panic-isolated: an injected (or real) panic becomes a
     // typed 500 and the server keeps serving.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        netfaults::maybe_panic_handler(serial);
+        shared.cfg.faults.handler_panic(serial);
         route(&request, shared, &budget)
     }));
     let (status, headers, body) = match outcome {
@@ -386,7 +395,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
         }
     };
     track_status(shared, status);
-    if netfaults::disconnect_before_write(serial) {
+    if shared.cfg.faults.disconnect(serial) {
         // Injected mid-response disconnect: drop without writing. The
         // client sees a closed socket; the server must carry on.
         return;

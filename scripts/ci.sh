@@ -17,14 +17,21 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
+echo "== every crate's unit tests =="
+# The root package's `cargo test` runs only its own integration tests; the
+# crates' unit tests need the whole workspace.
+cargo test -q --workspace
+
 echo "== fault injection =="
 cargo test -q --test fault_injection
 
 echo "== telemetry smoke =="
 # A real --telemetry=json run, then the in-repo validator: every line must
 # parse and the stream must cover meta + spans + counters. The root package
-# does not depend on the CLI, so build its binaries explicitly.
-cargo build --release -p ssn-cli
+# does not depend on the CLI, so build its binaries explicitly — and the
+# bench binaries (mc_soa, mna_scale, opt_scale, serve_load) the later gates
+# run.
+cargo build --release -p ssn-cli -p ssn-bench
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 tmp_json="$tmp_dir/telemetry.jsonl"
@@ -45,8 +52,9 @@ diff -u results/diff1_oracle_summary.csv "$tmp_csv" \
     || { echo "ci: differential summary drifted from results/diff1_oracle_summary.csv" >&2; exit 1; }
 
 echo "== durability: kill -> resume smoke =="
-# Crash the oracle run after two committed chunks (the release binary honors
-# SSN_CRASH_AFTER_COMMITS precisely so CI can exercise a real mid-run kill),
+# Crash the oracle run after two committed chunks (the release binary takes
+# its fault plan from SSN_FAULTS precisely so CI can exercise a real mid-run
+# kill),
 # resume from the journal, and require the resumed summary to be
 # bit-identical to an uninterrupted run of the same corpus.
 golden_csv="$tmp_dir/durable_golden.csv"
@@ -55,7 +63,7 @@ golden_csv="$tmp_dir/durable_golden.csv"
 ckpt="$tmp_dir/validate.ckpt"
 resumed_csv="$tmp_dir/durable_resumed.csv"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn validate --corpus 120 --seed 1 \
+SSN_FAULTS="crash_after_commits=2" ./target/release/ssn validate --corpus 120 --seed 1 \
     --threads 2 --checkpoint "$ckpt" --repro-dir "$tmp_repro" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
     || { echo "ci: injected crash should exit 12 (interrupted), got $rc" >&2; exit 1; }
@@ -83,7 +91,7 @@ mc_golden="$tmp_dir/mc_golden.out"
     --threads 2 --seed 1 > "$mc_golden"
 mc_ckpt="$tmp_dir/mc.ckpt"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn montecarlo --process p018 \
+SSN_FAULTS="crash_after_commits=2" ./target/release/ssn montecarlo --process p018 \
     --drivers 8 --samples 1536 --threads 2 --seed 1 \
     --checkpoint "$mc_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
@@ -143,7 +151,7 @@ drain_server() {
 }
 
 # --- 1. fault-injection smoke + graceful drain ---
-SSN_NET_FAULTS="seed=7,torn=0.1,disconnect=0.1,panic=0.05" \
+SSN_FAULTS="seed=7,torn_body=0.1,disconnect=0.1,handler_panic=0.05" \
     start_server "$tmp_dir/serve_faults.log" --addr 127.0.0.1:0 \
     --spool "$tmp_dir/spool_faults"
 ./target/release/serve_load --addr "127.0.0.1:$port" --requests 200 --concurrency 4 \
@@ -215,7 +223,7 @@ echo "== optimizer gates: differential suite, bench smoke, kill -> resume =="
 # The inverse-design tier (DESIGN.md §14): the enumeration-differential
 # suite (optimizer front == brute force, bit for bit, on a seeded corpus),
 # an opt_scale smoke (asserts front identity and real pruning internally),
-# and a mid-search kill: SSN_CRASH_AFTER_COMMITS crashes the CLI between
+# and a mid-search kill: SSN_FAULTS crash_after_commits crashes the CLI between
 # per-level journal commits, the restart resumes the journal family, and
 # the resumed CSV front must be byte-identical to an uninterrupted run
 # (--format csv is data-only precisely so this diff can be exact).
@@ -227,7 +235,7 @@ opt_golden="$tmp_dir/opt_golden.csv"
 ./target/release/ssn optimize "${opt_args[@]}" --format csv > "$opt_golden"
 opt_ckpt="$tmp_dir/optimize.ckpt"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn optimize "${opt_args[@]}" \
+SSN_FAULTS="crash_after_commits=2" ./target/release/ssn optimize "${opt_args[@]}" \
     --checkpoint "$opt_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
     || { echo "ci: injected optimize crash should exit 12 (interrupted), got $rc" >&2; exit 1; }
@@ -262,7 +270,7 @@ cargo test -q --test storage_faults
 # byte-identical to the fault-free golden run.
 sf_ckpt="$tmp_dir/sf.ckpt"
 sf_degraded="$tmp_dir/sf_degraded.out"
-SSN_DISK_FAULTS="seed=1,enospc=1" ./target/release/ssn montecarlo \
+SSN_FAULTS="seed=1,enospc=1" ./target/release/ssn montecarlo \
     --process p018 --drivers 8 --samples 1536 --threads 2 --seed 1 \
     --checkpoint "$sf_ckpt" > "$sf_degraded" \
     || { echo "ci: full-disk MC run should degrade and exit 0" >&2; exit 1; }
@@ -278,7 +286,7 @@ diff -u <(grep -E "samples:|q[0-9]" "$mc_golden") \
 # must still exit 12, and a fault-off resume must restore exactly those two
 # chunks and reproduce the golden statistics byte for byte.
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 SSN_DISK_FAULTS="seed=2,eio=0.1" \
+SSN_FAULTS="seed=2,eio=0.1,crash_after_commits=2" \
     ./target/release/ssn montecarlo --process p018 --drivers 8 --samples 1536 \
     --threads 2 --seed 1 --checkpoint "$sf_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
@@ -293,6 +301,15 @@ grep -q "resume: 2 chunk(s) restored" "$sf_resumed" \
 diff -u <(grep -E "samples:|q[0-9]" "$mc_golden") \
         <(grep -E "samples:|q[0-9]" "$sf_resumed") \
     || { echo "ci: resume after crash-under-EIO drifted from the uninterrupted run" >&2; exit 1; }
+
+echo "== malformed fault plan is a usage error =="
+# A typo in a drill's plan must stop the run (exit 2), never run it
+# silently fault-free.
+rc=0
+SSN_FAULTS="seed=1,torn=0.1" ./target/release/ssn montecarlo --process p018 \
+    --drivers 8 --samples 256 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "ci: a malformed SSN_FAULTS should exit 2 (usage), got $rc" >&2; exit 1; }
 
 echo "== panic audit =="
 ./scripts/panic_audit.sh

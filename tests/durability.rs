@@ -14,7 +14,7 @@
 use ssn_lab::core::design::{sweep_design_grid, sweep_design_grid_durable};
 use ssn_lab::core::durable::{DegradeStep, DurableOptions, RunBudget};
 use ssn_lab::core::error::CheckpointErrorKind;
-use ssn_lab::core::faults::{corrupt_checkpoint, with_faults, FaultPlan, JournalCorruption};
+use ssn_lab::core::faults::{corrupt_checkpoint, FaultPlan, Faults, JournalCorruption};
 use ssn_lab::core::montecarlo::{
     run_monte_carlo_durable, run_monte_carlo_durable_with_path, run_monte_carlo_with, McPath,
     VariationSpec, MC_CHUNK,
@@ -71,6 +71,11 @@ fn policy(threads: usize) -> ExecPolicy {
     ExecPolicy::with_threads(threads)
 }
 
+/// `policy(threads)` running under `plan`, with fresh fault state.
+fn armed(threads: usize, plan: FaultPlan) -> ExecPolicy {
+    policy(threads).with_faults(Faults::arm(plan))
+}
+
 fn checkpoint_at(path: &Path, resume: bool) -> DurableOptions {
     DurableOptions {
         checkpoint: Some(path.to_path_buf()),
@@ -111,16 +116,14 @@ fn montecarlo_kill_resume_is_bit_identical_at_every_thread_count() {
 
     for threads in THREAD_MATRIX {
         let journal = TempJournal::new("mc-kill");
-        let err = with_faults(crash_after(2), || {
-            run_monte_carlo_durable(
-                &s,
-                &spec,
-                samples,
-                42,
-                &policy(threads),
-                &checkpoint_at(journal.path(), false),
-            )
-        })
+        let err = run_monte_carlo_durable(
+            &s,
+            &spec,
+            samples,
+            42,
+            &armed(threads, crash_after(2)),
+            &checkpoint_at(journal.path(), false),
+        )
         .expect_err("injected crash must interrupt the run");
         match err {
             SsnError::Interrupted {
@@ -170,17 +173,15 @@ fn montecarlo_checkpoint_resumes_across_evaluation_paths() {
     ] {
         for threads in THREAD_MATRIX {
             let journal = TempJournal::new("mc-xpath");
-            let err = with_faults(crash_after(2), || {
-                run_monte_carlo_durable_with_path(
-                    &s,
-                    &spec,
-                    samples,
-                    42,
-                    &policy(threads),
-                    &checkpoint_at(journal.path(), false),
-                    write_path,
-                )
-            })
+            let err = run_monte_carlo_durable_with_path(
+                &s,
+                &spec,
+                samples,
+                42,
+                &armed(threads, crash_after(2)),
+                &checkpoint_at(journal.path(), false),
+                write_path,
+            )
             .expect_err("injected crash must interrupt the run");
             assert!(
                 matches!(err, SsnError::Interrupted { .. }),
@@ -219,15 +220,13 @@ fn sweep_kill_resume_is_bit_identical_at_every_thread_count() {
 
     for threads in THREAD_MATRIX {
         let journal = TempJournal::new("grid-kill");
-        let err = with_faults(crash_after(2), || {
-            sweep_design_grid_durable(
-                &template,
-                &drivers,
-                &inductances,
-                &policy(threads),
-                &checkpoint_at(journal.path(), false),
-            )
-        })
+        let err = sweep_design_grid_durable(
+            &template,
+            &drivers,
+            &inductances,
+            &armed(threads, crash_after(2)),
+            &checkpoint_at(journal.path(), false),
+        )
         .expect_err("injected crash must interrupt the run");
         assert!(matches!(err, SsnError::Interrupted { .. }), "{err}");
 
@@ -266,9 +265,13 @@ fn validate_kill_resume_reproduces_the_summary_at_every_thread_count() {
 
     for threads in THREAD_MATRIX {
         let journal = TempJournal::new("validate-kill");
-        let err = with_faults(crash_after(1), || {
-            run_differential_durable(&opts(threads), &checkpoint_at(journal.path(), false))
-        })
+        let err = run_differential_durable(
+            &OracleOptions {
+                exec: armed(threads, crash_after(1)),
+                ..opts(threads)
+            },
+            &checkpoint_at(journal.path(), false),
+        )
         .expect_err("injected crash must interrupt the run");
         assert!(matches!(err, SsnError::Interrupted { .. }), "{err}");
 
@@ -290,16 +293,14 @@ fn validate_kill_resume_reproduces_the_summary_at_every_thread_count() {
 fn seed_journal(journal: &TempJournal) {
     let s = scenario(8);
     let spec = VariationSpec::typical();
-    let err = with_faults(crash_after(2), || {
-        run_monte_carlo_durable(
-            &s,
-            &spec,
-            4 * MC_CHUNK,
-            42,
-            &ExecPolicy::serial(),
-            &checkpoint_at(journal.path(), false),
-        )
-    })
+    let err = run_monte_carlo_durable(
+        &s,
+        &spec,
+        4 * MC_CHUNK,
+        42,
+        &armed(1, crash_after(2)),
+        &checkpoint_at(journal.path(), false),
+    )
     .expect_err("crash");
     assert!(matches!(err, SsnError::Interrupted { .. }));
 }
@@ -381,19 +382,17 @@ fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
     let journal = TempJournal::new("torn");
     let plan = FaultPlan {
         crash_after_commits: Some(2),
-        torn_crash: true,
+        crash_torn: true,
         ..FaultPlan::default()
     };
-    let err = with_faults(plan, || {
-        run_monte_carlo_durable(
-            &s,
-            &spec,
-            samples,
-            42,
-            &ExecPolicy::serial(),
-            &checkpoint_at(journal.path(), false),
-        )
-    })
+    let err = run_monte_carlo_durable(
+        &s,
+        &spec,
+        samples,
+        42,
+        &armed(1, plan),
+        &checkpoint_at(journal.path(), false),
+    )
     .expect_err("torn crash");
     assert!(matches!(err, SsnError::Interrupted { .. }), "{err}");
 
@@ -590,16 +589,14 @@ fn resume_of_a_complete_journal_restores_everything() {
 
     // Inject an immediate crash: if resume evaluated *any* chunk it would
     // commit and die; restoring all four chunks never reaches the hook.
-    let (second, stats, durability) = with_faults(crash_after(1), || {
-        run_monte_carlo_durable(
-            &s,
-            &spec,
-            samples,
-            42,
-            &ExecPolicy::serial(),
-            &checkpoint_at(journal.path(), true),
-        )
-    })
+    let (second, stats, durability) = run_monte_carlo_durable(
+        &s,
+        &spec,
+        samples,
+        42,
+        &armed(1, crash_after(1)),
+        &checkpoint_at(journal.path(), true),
+    )
     .expect("pure restore");
     assert_eq!(durability.resumed_chunks, 4);
     assert_eq!(stats.checkpointed_chunks, 4);

@@ -4,16 +4,19 @@
 //! hold both fault-on (same plan, same results) and fault-off (injection
 //! disarmed is bit-identical to injection absent).
 //!
-//! Faults are injected through `ssn_core::faults` (compiled in behind the
-//! `fault-injection` feature, which the workspace test build enables via
-//! the `ssn-lab` meta-crate). Hooks are disarmed no-ops unless a
-//! [`FaultPlan`] is armed, so every other test in this binary — and every
-//! other test binary — sees the clean pipeline.
+//! Faults are injected through the `ssn_core::faults` plane, which every
+//! build carries. A [`FaultPlan`] acts only on the run it is armed for —
+//! it rides in that run's [`ExecPolicy`] — so every other run, in this
+//! test binary or concurrently beside an armed run, sees the clean
+//! pipeline.
 
 use ssn_lab::core::design;
-use ssn_lab::core::faults::{with_faults, FaultPlan};
+use ssn_lab::core::durable::{Durability, DurableOptions, RunBudget};
+use ssn_lab::core::faults::{FaultPlan, Faults};
 use ssn_lab::core::lcmodel;
-use ssn_lab::core::montecarlo::{run_monte_carlo_with, VariationSpec, MC_CHUNK};
+use ssn_lab::core::montecarlo::{
+    run_monte_carlo_durable, run_monte_carlo_with, VariationSpec, MC_CHUNK,
+};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::core::SsnError;
@@ -46,10 +49,11 @@ fn mc(
 > {
     let s = scenario(8);
     let spec = VariationSpec::typical();
-    match plan {
-        Some(p) => with_faults(p, || run_monte_carlo_with(&s, &spec, SAMPLES, 42, policy)),
-        None => run_monte_carlo_with(&s, &spec, SAMPLES, 42, policy),
-    }
+    let policy = match plan {
+        Some(p) => policy.clone().with_faults(Faults::arm(p)),
+        None => policy.clone(),
+    };
+    run_monte_carlo_with(&s, &spec, SAMPLES, 42, &policy)
 }
 
 /// Fault class 1: NaN model outputs. Poisoned chunks are dropped and
@@ -57,8 +61,8 @@ fn mc(
 #[test]
 fn nan_model_outputs_degrade_to_a_partial_result() {
     let plan = FaultPlan {
-        seed: 3,
-        nan_probability: 0.002,
+        seed: 5,
+        nan: 0.002,
         ..FaultPlan::default()
     };
     let (result, stats) = mc(Some(plan), &ExecPolicy::serial()).expect("partial result");
@@ -79,7 +83,7 @@ fn nan_model_outputs_degrade_to_a_partial_result() {
 fn worker_panics_are_isolated_per_chunk() {
     let plan = FaultPlan {
         seed: 9,
-        panic_probability: 0.4,
+        chunk_panic: 0.4,
         ..FaultPlan::default()
     };
     for threads in [1usize, 4] {
@@ -100,7 +104,7 @@ fn worker_panics_are_isolated_per_chunk() {
 fn retry_budget_rescues_transient_worker_panics() {
     let plan = FaultPlan {
         seed: 9,
-        panic_probability: 0.4,
+        chunk_panic: 0.4,
         panic_once: true,
         ..FaultPlan::default()
     };
@@ -117,7 +121,7 @@ fn retry_budget_rescues_transient_worker_panics() {
 fn losing_every_chunk_is_a_typed_error() {
     let plan = FaultPlan {
         seed: 1,
-        panic_probability: 1.0,
+        chunk_panic: 1.0,
         ..FaultPlan::default()
     };
     let err = mc(Some(plan), &ExecPolicy::serial()).expect_err("no chunks survive");
@@ -141,17 +145,18 @@ fn losing_every_chunk_is_a_typed_error() {
 fn solver_ladder_falls_back_when_a_rung_is_disabled() {
     let s = scenario(8);
     let budget = Volts::new(0.4);
-    let (tr_clean, clean) = design::required_rise_time_with_report(&s, budget).expect("clean");
+    let (tr_clean, clean) =
+        design::required_rise_time_with_report(&s, budget, &Faults::none()).expect("clean");
     assert_eq!(clean.method, "brent");
     assert!(clean.is_clean());
 
     let plan = FaultPlan {
         seed: 5,
-        disable_solver_rungs: rung::BRENT,
+        solver_rungs: rung::BRENT,
         ..FaultPlan::default()
     };
     let (tr_fallback, report) =
-        with_faults(plan, || design::required_rise_time_with_report(&s, budget))
+        design::required_rise_time_with_report(&s, budget, &Faults::arm(plan))
             .expect("bisect rung still succeeds");
     assert_eq!(report.method, "bisect");
     // A disabled rung is skipped, not counted as tried.
@@ -162,10 +167,10 @@ fn solver_ladder_falls_back_when_a_rung_is_disabled() {
     // Disabling the whole ladder is a typed error, not a hang or a panic.
     let plan = FaultPlan {
         seed: 5,
-        disable_solver_rungs: rung::NEWTON | rung::BRENT | rung::BISECT,
+        solver_rungs: rung::NEWTON | rung::BRENT | rung::BISECT,
         ..FaultPlan::default()
     };
-    let err = with_faults(plan, || design::required_rise_time_with_report(&s, budget))
+    let err = design::required_rise_time_with_report(&s, budget, &Faults::arm(plan))
         .expect_err("every rung disabled");
     assert!(matches!(err, SsnError::Fit(_)), "got {err}");
 }
@@ -181,13 +186,12 @@ fn grid_sweep_survives_chunk_panics_with_partial_points() {
 
     let plan = FaultPlan {
         seed: 11,
-        panic_probability: 0.5,
+        chunk_panic: 0.5,
         ..FaultPlan::default()
     };
-    let (points, stats) = with_faults(plan, || {
-        design::sweep_design_grid(&s, &ns, &ls, &ExecPolicy::serial())
-    })
-    .expect("surviving chunks form a partial sweep");
+    let armed = ExecPolicy::serial().with_faults(Faults::arm(plan));
+    let (points, stats) = design::sweep_design_grid(&s, &ns, &ls, &armed)
+        .expect("surviving chunks form a partial sweep");
     assert!(
         stats.failed_chunks > 0,
         "the plan must cost at least one chunk"
@@ -213,7 +217,7 @@ fn grid_sweep_survives_chunk_panics_with_partial_points() {
 fn injected_faults_are_deterministic() {
     let plan = FaultPlan {
         seed: 9,
-        panic_probability: 0.4,
+        chunk_panic: 0.4,
         ..FaultPlan::default()
     };
     let (base, base_stats) = mc(Some(plan), &ExecPolicy::serial()).expect("partial");
@@ -226,8 +230,12 @@ fn injected_faults_are_deterministic() {
     }
 }
 
-/// Determinism holds fault-OFF: running inside a disarmed harness (or with
-/// no harness at all) is bit-identical — the hooks are true no-ops.
+/// Determinism holds fault-OFF: a run with no plan, a run under an inert
+/// plan, and a run made while *another* run in the process is armed are
+/// all bit-identical — the plane belongs to the run that armed it. The
+/// side-by-side cases race an unarmed run against an armed one on two
+/// threads, round after round: Monte Carlo beside NaN and panic faults,
+/// and durable runs beside a crash plan and beside a disk plan.
 #[test]
 fn disarmed_injection_is_bit_identical_to_no_injection() {
     let (clean, clean_stats) = mc(None, &ExecPolicy::serial()).expect("clean");
@@ -238,4 +246,102 @@ fn disarmed_injection_is_bit_identical_to_no_injection() {
     let a: Vec<u64> = clean.samples().iter().map(|v| v.to_bits()).collect();
     let b: Vec<u64> = armed_zero.samples().iter().map(|v| v.to_bits()).collect();
     assert_eq!(a, b);
+
+    let two = ExecPolicy::with_threads(2);
+    let hostile = FaultPlan {
+        seed: 3,
+        nan: 0.01,
+        chunk_panic: 0.5,
+        ..FaultPlan::default()
+    };
+    for (result, stats) in side_by_side(
+        || drop(mc(Some(hostile), &two)),
+        || mc(None, &two).expect("unarmed run beside an armed one"),
+    ) {
+        assert_eq!(stats.failed_chunks, 0, "a neighbour's plan leaked in");
+        let got: Vec<u64> = result.samples().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, a, "a neighbour's plan changed the samples");
+    }
+
+    let alone = durable_mc(None, "alone").expect("durable run alone");
+    assert!(alone.1.degradation.is_empty() && alone.1.resumed_chunks == 0);
+    for plan in [
+        FaultPlan {
+            crash_after_commits: Some(1),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            enospc: 1.0,
+            eio: 0.5,
+            ..FaultPlan::default()
+        },
+    ] {
+        for beside in side_by_side(
+            || drop(durable_mc(Some(plan), "armed")),
+            || durable_mc(None, "unarmed").expect("unarmed durable run beside an armed one"),
+        ) {
+            assert_eq!(
+                beside, alone,
+                "{plan:?} leaked into a neighbouring durable run"
+            );
+        }
+    }
+}
+
+/// Runs `armed` and `unarmed` at the same time on two threads, released
+/// together by a barrier, for several rounds; returns the unarmed results.
+fn side_by_side<R: Send>(armed: impl Fn() + Sync, unarmed: impl Fn() -> R + Sync) -> Vec<R> {
+    const ROUNDS: usize = 12;
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                armed();
+            }
+        });
+        (0..ROUNDS)
+            .map(|_| {
+                barrier.wait();
+                unarmed()
+            })
+            .collect()
+    })
+}
+
+/// A checkpointed Monte Carlo run on a fresh journal, optionally under
+/// `plan`; returns the sample bits and the durability report.
+fn durable_mc(plan: Option<FaultPlan>, tag: &str) -> Result<(Vec<u64>, Durability), SsnError> {
+    static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let journal = std::env::temp_dir().join(format!(
+        "ssn-fault-injection-{}-{tag}-{n}.ckpt",
+        std::process::id()
+    ));
+    let policy =
+        ExecPolicy::with_threads(2).with_faults(plan.map_or_else(Faults::none, Faults::arm));
+    let run = run_monte_carlo_durable(
+        &scenario(8),
+        &VariationSpec::typical(),
+        SAMPLES,
+        42,
+        &policy,
+        &DurableOptions {
+            checkpoint: Some(journal.clone()),
+            resume: false,
+            budget: RunBudget::unlimited(),
+        },
+    );
+    for leftover in [journal.clone(), journal.with_extension("ckpt-tmp")] {
+        let _ = std::fs::remove_file(leftover);
+    }
+    let mut lock = journal.into_os_string();
+    lock.push(".lock");
+    let _ = std::fs::remove_file(lock);
+    run.map(|(mc, _, durability)| {
+        (
+            mc.samples().iter().map(|v| v.to_bits()).collect(),
+            durability,
+        )
+    })
 }

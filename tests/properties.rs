@@ -889,7 +889,7 @@ fn optimizer_outcome_is_thread_count_invariant() {
 #[test]
 fn optimizer_kill_resume_is_bit_identical() {
     use ssn_lab::core::durable::{DurableOptions, RunBudget};
-    use ssn_lab::core::faults::{with_faults, FaultPlan};
+    use ssn_lab::core::faults::{FaultPlan, Faults};
 
     let asdm = Asdm::new(Siemens::from_millis(7.5), 1.25, Volts::new(0.6));
     let template = SsnScenario::from_asdm(asdm, Volts::new(1.8))
@@ -921,14 +921,12 @@ fn optimizer_kill_resume_is_bit_identical() {
         resume,
         budget: RunBudget::unlimited(),
     };
-    let err = with_faults(
-        FaultPlan {
-            crash_after_commits: Some(2),
-            ..FaultPlan::default()
-        },
-        || optimize::search_durable(&template, &space, &opts, &policy, &durable(false)),
-    )
-    .expect_err("injected crash must interrupt the search");
+    let crashing = policy.clone().with_faults(Faults::arm(FaultPlan {
+        crash_after_commits: Some(2),
+        ..FaultPlan::default()
+    }));
+    let err = optimize::search_durable(&template, &space, &opts, &crashing, &durable(false))
+        .expect_err("injected crash must interrupt the search");
     assert!(
         matches!(err, ssn_lab::core::SsnError::Interrupted { .. }),
         "expected Interrupted, got {err:?}"

@@ -13,19 +13,16 @@
 //! * **Injected network faults**: torn bodies, mid-response disconnects,
 //!   and handler panics leave the server serving.
 //!
-//! The network-fault switchboard is process-global, so every test here
-//! serializes on one mutex — a fault plan armed by one test must never
-//! leak into another's server.
+//! Each server carries its own fault plane (`ServerConfig::faults`), so the
+//! tests run in parallel: one server's injected faults never reach
+//! another's.
 
+use ssn_lab::core::faults::{FaultPlan, Faults};
 use ssn_lab::numeric::check::{forall, Gen};
-use ssn_lab::server::netfaults::{self, NetFaultPlan};
 use ssn_lab::server::{client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 use std::time::Duration;
-
-static SERIALIZE: Mutex<()> = Mutex::new(());
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -46,6 +43,10 @@ fn metric(addr: SocketAddr, key: &str) -> u64 {
     let body = client::get(addr, "/metrics", TIMEOUT)
         .expect("metrics reachable")
         .text();
+    metric_in(&body, key)
+}
+
+fn metric_in(body: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");
     let rest = &body[body.find(&pat).unwrap_or_else(|| panic!("{key} in {body}")) + pat.len()..];
     rest.chars()
@@ -139,7 +140,6 @@ fn malformed_request(g: &mut Gen) -> Vec<u8> {
 
 #[test]
 fn fuzz_malformed_http_never_panics_the_server() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -178,7 +178,6 @@ fn fuzz_malformed_http_never_panics_the_server() {
 
 #[test]
 fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -209,7 +208,6 @@ fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
 
 #[test]
 fn overloaded_job_queue_sheds_with_retry_after() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(ServerConfig {
         queue_capacity: 1,
         job_workers: 1,
@@ -244,7 +242,6 @@ fn overloaded_job_queue_sheds_with_retry_after() {
 
 #[test]
 fn drain_endpoint_stops_admission_and_closes_the_listener() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -266,10 +263,12 @@ fn drain_endpoint_stops_admission_and_closes_the_listener() {
 
 #[test]
 fn injected_network_faults_leave_the_server_serving() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
-    let plan = NetFaultPlan::parse("seed=3,torn=0.2,disconnect=0.2,panic=0.2").expect("plan");
-    netfaults::arm(plan);
-    let server = start(quick_config());
+    let plan =
+        FaultPlan::parse("seed=3,torn_body=0.2,disconnect=0.2,handler_panic=0.2").expect("plan");
+    let server = start(ServerConfig {
+        faults: Faults::arm(plan),
+        ..quick_config()
+    });
     let addr = server.addr();
 
     let mut answered = 0u32;
@@ -283,14 +282,25 @@ fn injected_network_faults_leave_the_server_serving() {
             Err(_) => cut += 1,
         }
     }
-    netfaults::disarm();
 
     assert!(answered > 0, "some requests must still be answered");
     assert!(cut > 0, "the plan injects disconnects deterministically");
-    let health = client::get(addr, "/healthz", TIMEOUT).expect("health after faults");
+    // The plane stays armed for the server's whole life and decides per
+    // connection, so probe on fresh connections until one is spared — as
+    // an operator's health check would.
+    let probe = |target: &str| {
+        (0..32)
+            .find_map(|_| {
+                client::get(addr, target, TIMEOUT)
+                    .ok()
+                    .filter(|r| r.status != 500)
+            })
+            .unwrap_or_else(|| panic!("{target}: no connection got through the faults"))
+    };
+    let health = probe("/healthz");
     assert_eq!(health.status, 200);
     assert!(
-        metric(addr, "panics_caught") > 0,
+        metric_in(&probe("/metrics").text(), "panics_caught") > 0,
         "the seeded plan injects handler panics"
     );
     assert!(server.drain().clean);

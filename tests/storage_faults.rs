@@ -12,17 +12,19 @@
 //! path is byte-identical to a faultless build.
 //!
 //! Everything runs under `ExecPolicy::serial()` so the storage operation
-//! order (and therefore each seeded fault schedule) is deterministic; the
-//! fault layer's own gate serializes armed sections across test threads.
+//! order (and therefore each seeded fault schedule) is deterministic. Each
+//! run arms its own fault plane, so the tests run in parallel untouched by
+//! each other's faults.
 
 use ssn_lab::core::durable::{DegradeStep, DurableOptions, JournalLock, RunBudget};
 use ssn_lab::core::error::CheckpointErrorKind;
+use ssn_lab::core::faults::{FaultPlan, Faults};
 use ssn_lab::core::montecarlo::{
     run_monte_carlo_durable, run_monte_carlo_with, VariationSpec, MC_CHUNK,
 };
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
-use ssn_lab::core::storage::{self, ops_performed, with_disk_faults, DiskFaultPlan};
+use ssn_lab::core::storage::RealIo;
 use ssn_lab::core::SsnError;
 use ssn_lab::devices::Asdm;
 use ssn_lab::units::{Farads, Henrys, Seconds, Siemens, Volts};
@@ -108,9 +110,11 @@ fn golden() -> Vec<f64> {
     mc.samples().to_vec()
 }
 
+/// A serial checkpointed run under `faults` (disarmed: a healthy disk).
 fn run_checkpointed(
     journal: &Path,
     resume: bool,
+    faults: &Faults,
 ) -> Result<(Vec<f64>, ssn_lab::core::durable::Durability), SsnError> {
     let s = scenario(8);
     run_monte_carlo_durable(
@@ -118,7 +122,7 @@ fn run_checkpointed(
         &VariationSpec::typical(),
         SAMPLES,
         SEED,
-        &ExecPolicy::serial(),
+        &ExecPolicy::serial().with_faults(faults.clone()),
         &checkpoint_at(journal, resume),
     )
     .map(|(mc, _, durability)| (mc.samples().to_vec(), durability))
@@ -141,24 +145,24 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
     // Count the run's storage operations with an inert armed plan, and
     // prove the inert layer is invisible in the result.
     let counting = TempJournal::new("count");
-    let total_ops = with_disk_faults(DiskFaultPlan::default(), || {
-        let (samples, durability) =
-            run_checkpointed(counting.path(), false).expect("inert plan must not fail");
-        assert!(!durability.is_degraded());
-        assert_bit_identical(&samples, &golden);
-        ops_performed()
-    });
+    let inert = Faults::arm(FaultPlan::default());
+    let (samples, durability) =
+        run_checkpointed(counting.path(), false, &inert).expect("inert plan must not fail");
+    assert!(!durability.is_degraded());
+    assert_bit_identical(&samples, &golden);
+    let total_ops = inert.disk_ops();
     // Lock create + per-commit (temp write + rename + dir fsync).
     assert!(total_ops >= 4, "suspiciously few storage ops: {total_ops}");
 
     for k in 0..total_ops {
         let journal = TempJournal::new("sweep");
-        let session1 = with_disk_faults(
-            DiskFaultPlan {
+        let session1 = run_checkpointed(
+            journal.path(),
+            false,
+            &Faults::arm(FaultPlan {
                 kill_at: Some(k),
-                ..DiskFaultPlan::default()
-            },
-            || run_checkpointed(journal.path(), false),
+                ..FaultPlan::default()
+            }),
         );
         // The kill always lands (k < total_ops), so session 1 must fail —
         // with a *typed* error. Reaching this line at all proves no panic
@@ -179,7 +183,7 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
         // Restart with faults off: resume whatever journal survived, or
         // start clean when the cut landed before the first commit.
         let resume = journal.path().exists();
-        let (samples, durability) = run_checkpointed(journal.path(), resume)
+        let (samples, durability) = run_checkpointed(journal.path(), resume, &Faults::none())
             .unwrap_or_else(|e| panic!("kill at op {k}: restart (resume={resume}) failed: {e}"));
         assert!(
             !durability.is_degraded(),
@@ -197,12 +201,13 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
 fn full_disk_degrades_to_uncheckpointed_and_still_delivers_the_result() {
     let golden = golden();
     let journal = TempJournal::new("enospc");
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
+    let (samples, durability) = run_checkpointed(
+        journal.path(),
+        false,
+        &Faults::arm(FaultPlan {
             enospc: 1.0,
-            ..DiskFaultPlan::default()
-        },
-        || run_checkpointed(journal.path(), false),
+            ..FaultPlan::default()
+        }),
     )
     .expect("a full disk must degrade, not fail the run");
 
@@ -234,41 +239,33 @@ fn disk_filling_up_mid_run_degrades_after_the_last_good_commit() {
     let golden = golden();
     let journal = TempJournal::new("enospc-mid");
     // Let the lock and the first commit (ops 0..=3) through, then the
-    // disk is full for everything after.
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
-            kill_at: None,
+    // disk is full for everything after. An inert prefix is impossible to
+    // express with a flat probability, so the healthy first session runs
+    // under an inert plan and the resume under the full-disk one.
+    let s = scenario(8);
+    let first = run_monte_carlo_durable(
+        &s,
+        &VariationSpec::typical(),
+        SAMPLES,
+        SEED,
+        &ExecPolicy::serial().with_faults(Faults::arm(FaultPlan::default())),
+        &DurableOptions {
+            checkpoint: Some(journal.path().to_path_buf()),
+            resume: false,
+            budget: RunBudget::expire_after_checks(1),
+        },
+    );
+    let (partial, _, d) = first.expect("healthy first session");
+    assert!(d.deadline_hit);
+    assert_eq!(partial.len(), MC_CHUNK);
+    // Session 2 resumes onto a disk that has just filled up.
+    let (samples, durability) = run_checkpointed(
+        journal.path(),
+        true,
+        &Faults::arm(FaultPlan {
             enospc: 1.0,
-            ..DiskFaultPlan::default()
-        },
-        || {
-            // An inert prefix is impossible to express with a flat
-            // probability, so arm the full-disk plan only after a healthy
-            // first commit by re-arming inside the gate.
-            storage::arm(DiskFaultPlan::default());
-            let s = scenario(8);
-            let first = run_monte_carlo_durable(
-                &s,
-                &VariationSpec::typical(),
-                SAMPLES,
-                SEED,
-                &ExecPolicy::serial(),
-                &DurableOptions {
-                    checkpoint: Some(journal.path().to_path_buf()),
-                    resume: false,
-                    budget: RunBudget::expire_after_checks(1),
-                },
-            );
-            let (partial, _, d) = first.expect("healthy first session");
-            assert!(d.deadline_hit);
-            assert_eq!(partial.len(), MC_CHUNK);
-            // Session 2 resumes onto a disk that has just filled up.
-            storage::arm(DiskFaultPlan {
-                enospc: 1.0,
-                ..DiskFaultPlan::default()
-            });
-            run_checkpointed(journal.path(), true)
-        },
+            ..FaultPlan::default()
+        }),
     )
     .expect("resume onto a full disk must degrade, not fail");
 
@@ -293,14 +290,15 @@ fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
     // Deterministic schedule: seed 3 at p=0.15 never produces three
     // consecutive failures on any operation, so every retry round clears.
     let journal = TempJournal::new("eio");
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
+    let (samples, durability) = run_checkpointed(
+        journal.path(),
+        false,
+        &Faults::arm(FaultPlan {
             seed: 3,
             eio: 0.15,
             fsync: 0.1,
-            ..DiskFaultPlan::default()
-        },
-        || run_checkpointed(journal.path(), false),
+            ..FaultPlan::default()
+        }),
     )
     .expect("transient faults must be absorbed");
     assert_bit_identical(&samples, &golden);
@@ -314,7 +312,8 @@ fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
     );
     // The survived journal is structurally perfect: a pure restore run
     // (healthy disk) resumes all chunks bit-identically.
-    let (restored, durability) = run_checkpointed(journal.path(), true).expect("pure restore");
+    let (restored, durability) =
+        run_checkpointed(journal.path(), true, &Faults::none()).expect("pure restore");
     assert_eq!(durability.resumed_chunks, SAMPLES / MC_CHUNK);
     assert_bit_identical(&restored, &golden);
 }
@@ -326,31 +325,27 @@ fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
 #[test]
 fn enospc_during_lock_write_leaves_no_partial_lock_file() {
     let journal = TempJournal::new("lock-enospc");
-    with_disk_faults(
-        DiskFaultPlan {
-            enospc: 1.0,
-            ..DiskFaultPlan::default()
-        },
-        || {
-            let err = JournalLock::acquire(journal.path()).expect_err("no space for a lock");
-            assert!(
-                matches!(
-                    err,
-                    SsnError::Checkpoint {
-                        kind: CheckpointErrorKind::Io,
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        },
+    let full = Faults::arm(FaultPlan {
+        enospc: 1.0,
+        ..FaultPlan::default()
+    });
+    let err = JournalLock::acquire(journal.path(), &full).expect_err("no space for a lock");
+    assert!(
+        matches!(
+            err,
+            SsnError::Checkpoint {
+                kind: CheckpointErrorKind::Io,
+                ..
+            }
+        ),
+        "{err}"
     );
     assert!(
         !journal.lock_path().exists(),
         "a failed acquisition must not strand a partial lock file"
     );
     // The path is immediately lockable on a healthy disk.
-    let lock = JournalLock::acquire(journal.path()).expect("healthy acquire");
+    let lock = JournalLock::acquire(journal.path(), &RealIo).expect("healthy acquire");
     drop(lock);
 }
 
@@ -371,7 +366,7 @@ fn stale_lock_takeover_race_never_yields_two_live_holders() {
         let outcomes = std::thread::scope(|scope| {
             let contend = || {
                 barrier.wait();
-                match JournalLock::acquire(journal.path()) {
+                match JournalLock::acquire(journal.path(), &RealIo) {
                     Ok(lock) => {
                         let now = holders.fetch_add(1, Ordering::SeqCst);
                         assert_eq!(now, 0, "round {round}: two simultaneous lock holders");
@@ -422,16 +417,13 @@ fn cache_serves_from_memory_when_the_spool_disk_is_full() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
 
-    let cache = ResultCache::new(Some(dir.clone())).expect("cache");
-    with_disk_faults(
-        DiskFaultPlan {
+    let cache = ResultCache::new(Some(dir.clone()))
+        .expect("cache")
+        .with_faults(Faults::arm(FaultPlan {
             enospc: 1.0,
-            ..DiskFaultPlan::default()
-        },
-        || {
-            cache.put(0xab, b"full-fidelity-result".to_vec());
-        },
-    );
+            ..FaultPlan::default()
+        }));
+    cache.put(0xab, b"full-fidelity-result".to_vec());
     assert!(cache.disk_degraded(), "spool failure is declared");
     assert_eq!(
         cache.get(0xab).expect("memory tier").as_slice(),
