@@ -546,6 +546,11 @@ impl ParetoFront {
     /// otherwise inserted (evicting members it dominates). The final
     /// membership is independent of insertion order; [`ParetoFront::seal`]
     /// restores the canonical order after a batch of inserts.
+    ///
+    /// Each insert scans the whole front. [`search`] and [`enumerate`]
+    /// build their fronts through an exact rank-grid index instead; this
+    /// pairwise path is the independent reference their tests hold them
+    /// to.
     pub fn insert(&mut self, p: DesignPoint) -> bool {
         if self
             .members
@@ -817,6 +822,7 @@ pub fn search_durable(
     // conservative lower bound for pruned ones, NAN for unvisited.
     let mut bounds = vec![f64::NAN; total_points];
     let mut front = ParetoFront::new(opts.objectives);
+    let mut index = DominanceIndex::new(space, opts.objectives);
     let mut stats = zero_stats(policy);
     let mut durability = Durability::default();
     let mut evaluated = 0usize;
@@ -834,6 +840,7 @@ pub fn search_durable(
         // Candidate selection and skip decisions are serial and use only
         // state frozen at the previous level boundary, so the survivor
         // list (and with it the level's RunSpec) is deterministic.
+        let select_span = ssn_telemetry::span("opt.select");
         let mut survivors: Vec<usize> = Vec::new();
         for ni in (0..dn).step_by(stride) {
             for li in (0..dl).step_by(stride) {
@@ -861,9 +868,11 @@ pub fn search_durable(
                                 bounds[flat] = lb;
                                 continue;
                             }
-                            let cost = package_cost(space.inductances[li], space.capacitances[ci]);
-                            let speed = speed_figure(space.drivers[ni], space.rise_times[ti]);
-                            if bound_dominated(&front, lb, cost, speed) {
+                            // Dominated through the bound: a front member
+                            // no worse on cost and speed with noise at or
+                            // below `lb`, strict somewhere (strict noise is
+                            // strict through the bound).
+                            if index.dominated(index.cell(ni, li, ci, ti), lb) {
                                 pruned_dominated += 1;
                                 bounds[flat] = lb;
                                 continue;
@@ -874,6 +883,7 @@ pub fn search_durable(
                 }
             }
         }
+        drop(select_span);
         ssn_telemetry::add("opt.level.candidates", survivors.len() as u64);
         if survivors.is_empty() {
             continue;
@@ -925,25 +935,26 @@ pub fn search_durable(
         let mut failed = 0usize;
         let mut first_cause: Option<String> = None;
         let mut level_evaluated = 0usize;
-        for outcome in run.chunks {
+        let mut done: Vec<&[EvalOut]> = Vec::new();
+        for outcome in &run.chunks {
             match outcome {
                 ChunkOutcome::Done(points) => {
-                    for e in &points {
+                    for e in points {
                         bounds[e.flat] = e.vn_lc;
-                        level_evaluated += 1;
-                        if cap.is_some_and(|cap| e.vn_lc > cap) {
-                            over_cap += 1;
-                        } else {
-                            front.insert(make_point(space, e, level));
-                        }
                     }
+                    level_evaluated += points.len();
+                    done.push(points);
                 }
                 ChunkOutcome::Failed(cause) => {
                     failed += 1;
-                    first_cause.get_or_insert(cause);
+                    first_cause.get_or_insert_with(|| cause.clone());
                 }
                 ChunkOutcome::DeadlineSkipped => {}
             }
+        }
+        {
+            let _merge_span = ssn_telemetry::span("opt.merge");
+            over_cap += index.merge(&mut front, space, &done, cap, level);
         }
         evaluated += level_evaluated;
         ssn_telemetry::add("opt.evaluated", level_evaluated as u64);
@@ -1023,21 +1034,159 @@ pub fn level_journal_path(p: &std::path::Path, level: u32) -> PathBuf {
     PathBuf::from(format!("{}.lv{level}", p.display()))
 }
 
-/// `true` when a feasible evaluated front member provably dominates a
-/// point whose noise is only known to be `>= lb`: the witness is no worse
-/// on cost and speed, its noise is at or below the bound, and at least one
-/// comparison is strict (strict noise is strict through the bound).
-fn bound_dominated(front: &ParetoFront, lb: f64, cost: f64, speed: f64) -> bool {
-    let obj = front.objectives;
-    front.members.iter().any(|q| {
-        let qn = q.vn_lc.value();
-        qn <= lb
-            && (!obj.uses_cost() || q.cost <= cost)
-            && (!obj.uses_speed() || q.speed <= speed)
-            && (qn < lb
-                || (obj.uses_cost() && q.cost < cost)
-                || (obj.uses_speed() && q.speed < speed))
-    })
+/// Exact Pareto-dominance index of one search: 2-D prefix minima of
+/// feasible noise over a grid of (cost rank, speed rank) cells.
+///
+/// [`package_cost`] depends only on `(L, C)` and [`speed_figure`] only on
+/// `(N, tr)`, so each gets a dense rank once per search: equal values share
+/// a rank, and an objective the [`ObjectiveSet`] leaves out collapses to
+/// rank 0. `pre[a][b]` is the least noise among absorbed points with cost
+/// rank `<= a` and speed rank `<= b` (`+inf` where there is none). A point of
+/// noise `v` in cell `(a, b)` is dominated — no worse everywhere and
+/// strictly better somewhere, exactly [`dominates`], ties included — iff
+/// some absorbed point is strictly cheaper or strictly faster with noise
+/// `<= v`, or no worse on both with noise `< v`:
+/// `min(pre[a-1][b], pre[a][b-1]) <= v || pre[a][b] < v`.
+///
+/// A dominated point never lowers a prefix minimum (its dominator lies in
+/// every region it does, with no more noise), so the grid over every
+/// absorbed point equals the grid over their front. Folding a level's
+/// points into the previous level's grid is therefore a rebuild over the
+/// merged front, at `O(cells + points)` per level with `cells <= ` the grid
+/// size. The comparisons need finite noise; `tests/properties.rs` pins
+/// `vn_max` finite on every valid scenario.
+struct DominanceIndex {
+    /// Cost rank per `(l, c)`, row-major.
+    cost_rank: Vec<usize>,
+    /// Speed rank per `(n, tr)`, row-major.
+    speed_rank: Vec<usize>,
+    /// Number of speed ranks: the row length of `pre`.
+    speed_ranks: usize,
+    /// `|C|` and `|tr|`, the inner strides of the rank tables.
+    dc: usize,
+    dt: usize,
+    /// The prefix minima, `pre[a * speed_ranks + b]`.
+    pre: Vec<f64>,
+}
+
+impl DominanceIndex {
+    /// An empty index (every cell `+inf`) over `space`'s rank grid.
+    fn new(space: &DesignSpace, objectives: ObjectiveSet) -> Self {
+        let [dn, dl, dc, dt] = space.dims();
+        let costs = (0..dl * dc)
+            .map(|i| package_cost(space.inductances[i / dc], space.capacitances[i % dc]));
+        let speeds =
+            (0..dn * dt).map(|i| speed_figure(space.drivers[i / dt], space.rise_times[i % dt]));
+        let (cost_rank, cost_ranks) = dense_ranks(costs.collect(), objectives.uses_cost());
+        let (speed_rank, speed_ranks) = dense_ranks(speeds.collect(), objectives.uses_speed());
+        Self {
+            cost_rank,
+            speed_rank,
+            speed_ranks,
+            dc,
+            dt,
+            pre: vec![f64::INFINITY; cost_ranks * speed_ranks],
+        }
+    }
+
+    /// The `(cost rank, speed rank)` cell of grid point `(n, l, c, tr)`.
+    fn cell(&self, n: usize, l: usize, c: usize, t: usize) -> (usize, usize) {
+        (
+            self.cost_rank[l * self.dc + c],
+            self.speed_rank[n * self.dt + t],
+        )
+    }
+
+    /// `true` when an absorbed point dominates a point of noise `v` in
+    /// `cell`; with `v` a noise lower bound, when one provably does.
+    fn dominated(&self, (a, b): (usize, usize), v: f64) -> bool {
+        let w = self.speed_ranks;
+        let i = a * w + b;
+        let cheaper = if a > 0 {
+            self.pre[i - w]
+        } else {
+            f64::INFINITY
+        };
+        let faster = if b > 0 {
+            self.pre[i - 1]
+        } else {
+            f64::INFINITY
+        };
+        cheaper.min(faster) <= v || self.pre[i] < v
+    }
+
+    /// Merges one batch of evaluated points into `front`: absorbs the
+    /// feasible ones, keeps the members the grown index leaves undominated
+    /// and materialises only the undominated new points. The membership
+    /// equals offering every feasible point to [`ParetoFront::insert`] in
+    /// any order. Returns how many points were over the cap.
+    fn merge(
+        &mut self,
+        front: &mut ParetoFront,
+        space: &DesignSpace,
+        chunks: &[&[EvalOut]],
+        cap: Option<f64>,
+        level: u32,
+    ) -> usize {
+        let feasible = || {
+            chunks
+                .iter()
+                .flat_map(|c| c.iter())
+                .filter(move |e| !cap.is_some_and(|cap| e.vn_lc > cap))
+        };
+        let w = self.speed_ranks;
+        let mut absorbed = 0usize;
+        for e in feasible() {
+            debug_assert!(e.vn_lc.is_finite(), "the index needs finite noise");
+            absorbed += 1;
+            let (n, l, c, t) = space.unflat(e.flat);
+            let (a, b) = self.cell(n, l, c, t);
+            let slot = &mut self.pre[a * w + b];
+            *slot = slot.min(e.vn_lc);
+        }
+        // Row by row: each cell takes the least of itself, the finished
+        // cell below it (cost rank - 1) and the running minimum to its
+        // left (speed rank - 1), kept in a register. Plain `<` selects
+        // compile to bare min instructions; the noise is finite, so
+        // `f64::min`'s NaN handling would only lengthen the chain.
+        let mut below = vec![f64::INFINITY; w];
+        for row in self.pre.chunks_exact_mut(w) {
+            let mut run = f64::INFINITY;
+            for (x, down) in row.iter_mut().zip(below.iter_mut()) {
+                let m = if *down < *x { *down } else { *x };
+                run = if m < run { m } else { run };
+                *x = run;
+                *down = run;
+            }
+        }
+        front.members.retain(|q| {
+            let cell = self.cell(q.n_idx, q.l_idx, q.c_idx, q.tr_idx);
+            !self.dominated(cell, q.vn_lc.value())
+        });
+        for e in feasible() {
+            let (n, l, c, t) = space.unflat(e.flat);
+            if !self.dominated(self.cell(n, l, c, t), e.vn_lc) {
+                front.members.push(make_point(space, e, level));
+            }
+        }
+        chunks.iter().map(|c| c.len()).sum::<usize>() - absorbed
+    }
+}
+
+/// Dense ranks of `values` (equal values share a rank) and the number of
+/// ranks; one rank, 0, for an objective that is not `used`.
+fn dense_ranks(values: Vec<f64>, used: bool) -> (Vec<usize>, usize) {
+    if !used {
+        return (vec![0; values.len()], 1);
+    }
+    let mut distinct = values.clone();
+    distinct.sort_unstable_by(f64::total_cmp);
+    distinct.dedup();
+    let ranks = values
+        .iter()
+        .map(|v| distinct.partition_point(|d| d < v))
+        .collect();
+    (ranks, distinct.len())
 }
 
 /// Exhaustive enumeration reference: evaluates **every** grid point on the
@@ -1065,22 +1214,15 @@ pub fn enumerate(
         eval_chunk(template, space, &survivors, c, range, policy.faults())
     });
     let total_chunks = chunks.len();
-    let mut front = ParetoFront::new(opts.objectives);
     let mut evaluated = 0usize;
-    let mut over_cap = 0usize;
     let mut failed = 0usize;
     let mut first_cause: Option<String> = None;
-    for chunk in chunks {
+    let mut done: Vec<&[EvalOut]> = Vec::new();
+    for chunk in &chunks {
         match chunk {
             Ok(Ok(points)) => {
-                for e in &points {
-                    evaluated += 1;
-                    if cap.is_some_and(|cap| e.vn_lc > cap) {
-                        over_cap += 1;
-                    } else {
-                        front.insert(make_point(space, e, 0));
-                    }
-                }
+                evaluated += points.len();
+                done.push(points);
             }
             Ok(Err(e)) => {
                 failed += 1;
@@ -1092,6 +1234,9 @@ pub fn enumerate(
             }
         }
     }
+    let mut front = ParetoFront::new(opts.objectives);
+    let over_cap =
+        DominanceIndex::new(space, opts.objectives).merge(&mut front, space, &done, cap, 0);
     stats.failed_chunks = failed;
     if evaluated == 0 {
         return Err(SsnError::AllChunksFailed {
@@ -1167,6 +1312,7 @@ pub fn confirm_front(
 mod tests {
     use super::*;
     use ssn_devices::Asdm;
+    use ssn_numeric::check::Gen;
     use ssn_units::Siemens;
 
     fn template() -> SsnScenario {
@@ -1330,6 +1476,172 @@ mod tests {
             max_noise_frac: Some(0.0),
         };
         assert!(search(&t, &small_space(), &bad, &ExecPolicy::serial()).is_err());
+    }
+
+    /// The search's former pairwise skip test, kept as the reference the
+    /// index query must reproduce: some member no worse on cost and speed
+    /// with noise at or below `lb`, strictly better somewhere.
+    fn witness_scan(front: &ParetoFront, lb: f64, cost: f64, speed: f64) -> bool {
+        let obj = front.objectives();
+        front.members().iter().any(|q| {
+            let qn = q.vn_lc.value();
+            qn <= lb
+                && (!obj.uses_cost() || q.cost <= cost)
+                && (!obj.uses_speed() || q.speed <= speed)
+                && (qn < lb
+                    || (obj.uses_cost() && q.cost < cost)
+                    || (obj.uses_speed() && q.speed < speed))
+        })
+    }
+
+    /// A grid built for ties: doubling `N` and `tr` together repeats
+    /// `tr/N`, and every `L` is `L_COST_REF` times a power of two against
+    /// `C` in whole `C_COST_REF` steps, so distinct `(L, C)` pairs repeat
+    /// costs exactly (`2 + 0 == 1 + 1`).
+    fn tie_space(g: &mut Gen) -> DesignSpace {
+        let n0 = g.usize_in(1, 3);
+        let mut drivers = vec![n0, 2 * n0, 4 * n0, g.usize_in(1, 12)];
+        drivers.sort_unstable();
+        drivers.dedup();
+        let t0 = 0.25e-9 * g.usize_in(1, 3) as f64;
+        let mut rise_times = vec![t0, 2.0 * t0, 4.0 * t0, 3.0 * t0];
+        rise_times.truncate(g.usize_in(3, 4));
+        rise_times.sort_by(f64::total_cmp);
+        DesignSpace {
+            drivers,
+            inductances: [0.5, 1.0, 2.0]
+                .iter()
+                .map(|k| Henrys::new(k * L_COST_REF))
+                .collect(),
+            capacitances: (0..g.usize_in(2, 3))
+                .map(|k| Farads::new(k as f64 * C_COST_REF))
+                .collect(),
+            rise_times: rise_times.into_iter().map(Seconds::new).collect(),
+        }
+    }
+
+    fn eval_out(flat: usize, noise: f64) -> EvalOut {
+        EvalOut {
+            flat,
+            vn_l_only: noise,
+            vn_lc: noise,
+            case: MaxSsnCase::LOnly,
+        }
+    }
+
+    /// The indexed merge equals the pairwise `ParetoFront::insert` front,
+    /// and the indexed skip query equals the pairwise witness scan, on
+    /// seeded clouds with repeated costs, repeated speeds and equal noise,
+    /// under every objective set, with and without a cap, level by level.
+    #[test]
+    fn indexed_front_and_skip_query_match_the_pairwise_reference_under_ties() {
+        use ssn_numeric::check::forall;
+        forall("indexed dominance == pairwise dominance", 64, |g| {
+            let space = tie_space(g);
+            let total = space.total_points();
+            // Each grid point at most once, noise on a coarse lattice.
+            let points: Vec<EvalOut> = (0..total)
+                .filter_map(|flat| {
+                    let noise = 0.1 * g.usize_in(1, 4) as f64;
+                    (g.usize_in(0, 2) > 0).then(|| eval_out(flat, noise))
+                })
+                .collect();
+            let levels = g.usize_in(1, 3);
+            let chunk = g.usize_in(1, 8);
+            let queries: Vec<(usize, f64)> = (0..48)
+                .map(|_| (g.usize_in(0, total - 1), 0.05 * g.usize_in(1, 9) as f64))
+                .collect();
+            for objectives in [
+                ObjectiveSet::NoiseCostSpeed,
+                ObjectiveSet::NoiseCost,
+                ObjectiveSet::NoiseSpeed,
+            ] {
+                for cap in [None, Some(0.25)] {
+                    let mut index = DominanceIndex::new(&space, objectives);
+                    let mut front = ParetoFront::new(objectives);
+                    let mut reference = ParetoFront::new(objectives);
+                    let per_level = points.len().div_ceil(levels).max(1);
+                    for (level, batch) in points.chunks(per_level).enumerate() {
+                        let level = level as u32;
+                        let chunks: Vec<&[EvalOut]> = batch.chunks(chunk).collect();
+                        let over = index.merge(&mut front, &space, &chunks, cap, level);
+                        let mut want_over = 0;
+                        for e in batch {
+                            if cap.is_some_and(|cap| e.vn_lc > cap) {
+                                want_over += 1;
+                            } else {
+                                reference.insert(make_point(&space, e, level));
+                            }
+                        }
+                        if over != want_over {
+                            return Err(format!(
+                                "merge counted {over} over the cap, not {want_over}"
+                            ));
+                        }
+                        let (mut got, mut want) = (front.clone(), reference.clone());
+                        got.seal();
+                        want.seal();
+                        if got != want {
+                            return Err(format!(
+                                "{objectives:?} cap {cap:?} level {level}: indexed front {} \
+                                 members, pairwise {}",
+                                got.len(),
+                                want.len()
+                            ));
+                        }
+                        for &(flat, lb) in &queries {
+                            let (n, l, c, t) = space.unflat(flat);
+                            let cost = package_cost(space.inductances[l], space.capacitances[c]);
+                            let speed = speed_figure(space.drivers[n], space.rise_times[t]);
+                            let indexed = index.dominated(index.cell(n, l, c, t), lb);
+                            if indexed != witness_scan(&front, lb, cost, speed) {
+                                return Err(format!(
+                                    "{objectives:?} cap {cap:?} level {level}: skip query at \
+                                     ({n}, {l}, {c}, {t}) lb {lb}: index says {indexed}"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// Two distinct grid points with identical (noise, cost, speed) do not
+    /// dominate each other: both stay on the front, under every objective
+    /// set.
+    #[test]
+    fn identical_objectives_at_distinct_points_both_stay() {
+        let t0 = 0.5e-9;
+        let space = DesignSpace {
+            drivers: vec![1, 2],
+            inductances: vec![Henrys::new(L_COST_REF)],
+            capacitances: vec![Farads::new(C_COST_REF)],
+            rise_times: vec![Seconds::new(t0), Seconds::new(2.0 * t0)],
+        };
+        // (N = 1, tr = t0) and (N = 2, tr = 2 t0): the same tr/N.
+        let (a, b) = (space.flat(0, 0, 0, 0), space.flat(1, 0, 0, 1));
+        assert_eq!(
+            speed_figure(1, Seconds::new(t0)),
+            speed_figure(2, Seconds::new(2.0 * t0))
+        );
+        for objectives in [
+            ObjectiveSet::NoiseCostSpeed,
+            ObjectiveSet::NoiseCost,
+            ObjectiveSet::NoiseSpeed,
+        ] {
+            let mut front = ParetoFront::new(objectives);
+            let points = [eval_out(a, 0.2), eval_out(b, 0.2)];
+            DominanceIndex::new(&space, objectives).merge(&mut front, &space, &[&points], None, 0);
+            front.seal();
+            let kept: Vec<usize> = front
+                .members()
+                .iter()
+                .map(|p| space.flat(p.n_idx, p.l_idx, p.c_idx, p.tr_idx))
+                .collect();
+            assert_eq!(kept, vec![a, b], "{objectives:?}");
+        }
     }
 
     #[test]

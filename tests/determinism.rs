@@ -8,6 +8,7 @@
 
 use ssn_lab::core::design::sweep_design_grid;
 use ssn_lab::core::montecarlo::{run_monte_carlo_with, VariationSpec, MC_CHUNK};
+use ssn_lab::core::optimize::{search, DesignSpace, OptimizeOptions};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::core::telemetry;
@@ -221,6 +222,47 @@ fn telemetry_on_and_off_are_bit_identical_at_every_thread_count() {
             Some((drivers.len() * inductances.len()) as u64),
             "grid.points counter wrong at {threads} threads"
         );
+    }
+}
+
+/// The optimizer's front bookkeeping has its own stages under
+/// `opt.refine` — `opt.select` (skip decisions) and `opt.merge` (front
+/// merge), beside the evaluation's `durable.run` — and recording them
+/// changes nothing: the outcome is bit-identical with telemetry on and off.
+#[test]
+fn optimizer_bookkeeping_spans_appear_and_leave_the_front_unchanged() {
+    let _guard = lock();
+    let template = scenario(8);
+    let space = DesignSpace {
+        drivers: (1..=12).collect(),
+        inductances: (1..=6)
+            .map(|i| Henrys::from_nanos(i as f64 * 1.5))
+            .collect(),
+        capacitances: vec![Farads::from_picos(0.5), Farads::from_picos(2.0)],
+        rise_times: vec![Seconds::from_nanos(0.3), Seconds::from_nanos(0.8)],
+    };
+    let opts = OptimizeOptions::default();
+    let policy = ExecPolicy::with_threads(2);
+    let (off, _) = search(&template, &space, &opts, &policy).expect("search off");
+
+    let session = telemetry::Session::start();
+    let on = {
+        let _root = telemetry::span("test.optimize");
+        search(&template, &space, &opts, &policy)
+            .expect("search on")
+            .0
+    };
+    let report = session.finish();
+
+    // `==` compares every count and member field; `same_front` the bits.
+    assert_eq!(on, off, "telemetry changed the search outcome");
+    assert!(on.front.same_front(&off.front));
+    for stage in ["opt.select", "opt.merge", "durable.run"] {
+        let path = format!("test.optimize.opt.refine.{stage}");
+        let span = report
+            .span(&path)
+            .unwrap_or_else(|| panic!("missing {path} span: {report:?}"));
+        assert!(span.count > 0, "{path} never ran");
     }
 }
 

@@ -13,15 +13,16 @@
 //! * **Injected network faults**: torn bodies, mid-response disconnects,
 //!   and handler panics leave the server serving.
 //!
-//! Each server carries its own fault plane (`ServerConfig::faults`), so the
-//! tests run in parallel: one server's injected faults never reach
-//! another's.
+//! Each server carries its own fault plane (`ServerConfig::faults`) and
+//! its own spool directory, so the tests run in parallel: one server's
+//! injected faults and cached results never reach another's.
 
 use ssn_lab::core::faults::{FaultPlan, Faults};
 use ssn_lab::numeric::check::{forall, Gen};
 use ssn_lab::server::{client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -30,8 +31,29 @@ fn start(cfg: ServerConfig) -> Server {
     Server::start(cfg).expect("server starts")
 }
 
-fn quick_config() -> ServerConfig {
+/// A spool directory of one test's own: servers in this process never
+/// share cached results or job journals, so one test's cache cannot turn
+/// another test's miss into a hit. Removed on drop.
+struct Spool(PathBuf);
+
+impl Spool {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("ssn-robust-{}-{test}", std::process::id()));
+        // A leftover from an earlier process that had the same pid.
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for Spool {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn quick_config(spool: &Spool) -> ServerConfig {
     ServerConfig {
+        spool: Some(spool.0.clone()),
         io_timeout: Duration::from_millis(500),
         request_deadline: Duration::from_secs(5),
         drain_deadline: Duration::from_secs(20),
@@ -140,7 +162,8 @@ fn malformed_request(g: &mut Gen) -> Vec<u8> {
 
 #[test]
 fn fuzz_malformed_http_never_panics_the_server() {
-    let server = start(quick_config());
+    let spool = Spool::new("fuzz_malformed_http_never_panics_the_server");
+    let server = start(quick_config(&spool));
     let addr = server.addr();
 
     forall(
@@ -178,7 +201,8 @@ fn fuzz_malformed_http_never_panics_the_server() {
 
 #[test]
 fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
-    let server = start(quick_config());
+    let spool = Spool::new("cache_hit_bytes_equal_miss_bytes_over_the_network");
+    let server = start(quick_config(&spool));
     let addr = server.addr();
 
     let target = "/v1/montecarlo?drivers=6&samples=512&seed=9";
@@ -208,12 +232,13 @@ fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
 
 #[test]
 fn overloaded_job_queue_sheds_with_retry_after() {
+    let spool = Spool::new("overloaded_job_queue_sheds_with_retry_after");
     let server = start(ServerConfig {
         queue_capacity: 1,
         job_workers: 1,
         // Everything beyond a trivial request becomes a durable job.
         sync_max_items: 1,
-        ..quick_config()
+        ..quick_config(&spool)
     });
     let addr = server.addr();
 
@@ -242,7 +267,8 @@ fn overloaded_job_queue_sheds_with_retry_after() {
 
 #[test]
 fn drain_endpoint_stops_admission_and_closes_the_listener() {
-    let server = start(quick_config());
+    let spool = Spool::new("drain_endpoint_stops_admission_and_closes_the_listener");
+    let server = start(quick_config(&spool));
     let addr = server.addr();
 
     let ok = client::get(addr, "/v1/estimate?drivers=4", TIMEOUT).expect("pre-drain");
@@ -263,11 +289,12 @@ fn drain_endpoint_stops_admission_and_closes_the_listener() {
 
 #[test]
 fn injected_network_faults_leave_the_server_serving() {
+    let spool = Spool::new("injected_network_faults_leave_the_server_serving");
     let plan =
         FaultPlan::parse("seed=3,torn_body=0.2,disconnect=0.2,handler_panic=0.2").expect("plan");
     let server = start(ServerConfig {
         faults: Faults::arm(plan),
-        ..quick_config()
+        ..quick_config(&spool)
     });
     let addr = server.addr();
 
