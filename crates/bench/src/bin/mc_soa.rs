@@ -24,8 +24,9 @@
 //! count to override the default (the CI smoke uses a small one).
 
 use ssn_bench::Table;
+use ssn_core::durable::DurableOptions;
 use ssn_core::montecarlo::{
-    perturb_batch, run_monte_carlo_with_path, McBatch, McPath, VariationSpec,
+    perturb_batch, run_monte_carlo_durable_with_path, McBatch, McPath, VariationSpec,
 };
 use ssn_core::parallel::ExecPolicy;
 use ssn_core::scenario::SsnScenario;
@@ -59,7 +60,15 @@ fn best_run(
 ) -> Result<(Vec<f64>, Duration), Box<dyn std::error::Error>> {
     let mut best: Option<(Vec<f64>, Duration)> = None;
     for _ in 0..REPEATS {
-        let (mc, stats) = run_monte_carlo_with_path(s, spec, samples, SEED, policy, path)?;
+        let (mc, stats, _) = run_monte_carlo_durable_with_path(
+            s,
+            spec,
+            samples,
+            SEED,
+            policy,
+            &DurableOptions::none(),
+            path,
+        )?;
         let wall = stats.wall;
         match &best {
             Some((_, w)) if *w <= wall => {}

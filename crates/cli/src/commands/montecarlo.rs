@@ -7,9 +7,7 @@ use crate::args::ParsedArgs;
 use crate::error::CliError;
 use ssn_core::faults::Faults;
 use ssn_core::lcmodel;
-use ssn_core::montecarlo::{
-    run_monte_carlo_durable_with_path, run_monte_carlo_with_path, McPath, VariationSpec,
-};
+use ssn_core::montecarlo::{run_monte_carlo_durable_with_path, McPath, VariationSpec};
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::{Seconds, Volts};
@@ -98,19 +96,9 @@ pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<()
     let budget = args.parsed::<Volts>("budget")?;
     let durable = durable_options(&args)?;
     with_telemetry(&telemetry, "cli.montecarlo", out, |out| {
-        let (mc, stats, durability) = match &durable {
-            Some(d) => {
-                let (mc, stats, durability) = run_monte_carlo_durable_with_path(
-                    &scenario, &spec, samples, seed, &policy, d, path,
-                )?;
-                (mc, stats, Some(durability))
-            }
-            None => {
-                let (mc, stats) =
-                    run_monte_carlo_with_path(&scenario, &spec, samples, seed, &policy, path)?;
-                (mc, stats, None)
-            }
-        };
+        let (mc, stats, durability) = run_monte_carlo_durable_with_path(
+            &scenario, &spec, samples, seed, &policy, &durable, path,
+        )?;
 
         writeln!(out, "nominal Vn_max: {}", lcmodel::vn_max(&scenario).0)?;
         if stats.failed_chunks > 0 {
@@ -138,7 +126,7 @@ pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<()
                 mc.yield_within(budget) * 100.0
             )?;
         }
-        write!(out, "{}", run_footer(&stats, durability.as_ref()))?;
+        write!(out, "{}", run_footer(&stats, &durability))?;
         Ok(())
     })
 }

@@ -6,13 +6,11 @@ use super::{
 };
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use ssn_core::durable::Durability;
 use ssn_core::faults::Faults;
 use ssn_core::optimize::{
-    confirm_front, search, search_durable, DesignPoint, DesignSpace, ObjectiveSet, OptimizeOptions,
+    confirm_front, search_durable, DesignPoint, DesignSpace, ObjectiveSet, OptimizeOptions,
     OptimizeOutcome,
 };
-use ssn_core::parallel::ExecStats;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::Seconds;
@@ -126,17 +124,8 @@ pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<()
     };
 
     with_telemetry(&telemetry, "cli.optimize", out, |out| {
-        let (outcome, stats, durability): (OptimizeOutcome, ExecStats, Option<Durability>) =
-            match &durable {
-                None => {
-                    let (o, s) = search(&template, &space, &opts, &policy)?;
-                    (o, s, None)
-                }
-                Some(d) => {
-                    let (o, s, dur) = search_durable(&template, &space, &opts, &policy, d)?;
-                    (o, s, Some(dur))
-                }
-            };
+        let (outcome, stats, durability) =
+            search_durable(&template, &space, &opts, &policy, &durable)?;
         if outcome.front.is_empty() {
             return Err(CliError::NoFeasiblePoint {
                 cap: max_noise_frac.unwrap_or(0.0) * template.vdd().value(),
@@ -149,7 +138,7 @@ pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<()
                 if let Some(k) = confirm {
                     render_confirm(out, &template, &outcome, k, &process)?;
                 }
-                write!(out, "{}", run_footer(&stats, durability.as_ref()))?;
+                write!(out, "{}", run_footer(&stats, &durability))?;
             }
             Format::Csv => render_csv(out, &outcome)?,
             Format::Json => render_json(out, &outcome)?,

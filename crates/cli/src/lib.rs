@@ -510,6 +510,80 @@ mod tests {
         assert!(text.contains("case,count,violations"), "{text}");
     }
 
+    /// Masks the measured numbers of a `run:` footer line — wall time,
+    /// eval/s and utilization — keeping the item and thread counts and
+    /// any trailing clauses.
+    fn mask_run_timing(text: &str) -> String {
+        text.lines()
+            .map(|line| match line.strip_prefix("run: ") {
+                Some(rest) => {
+                    let (items, rest) = rest.split_once(" in ").expect("wall time");
+                    let (_, rest) = rest.split_once(" s on ").expect("thread count");
+                    let (threads, rest) = rest.split_once(" (").expect("rates");
+                    let (_, tail) = rest.split_once(" utilization)").expect("utilization");
+                    format!("run: {items} in # s on {threads} (#){tail}")
+                }
+                None => line.to_owned(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn a_fresh_checkpoint_changes_no_output() {
+        let dir = std::env::temp_dir().join(format!("ssn-cli-fresh-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let journal = dir.join("run.ckpt");
+        let journal = journal.to_str().expect("utf8 temp path");
+        let commands: [&[&str]; 4] = [
+            &[
+                "montecarlo",
+                "--process",
+                "p018",
+                "--drivers",
+                "8",
+                "--samples",
+                "600",
+                "--budget",
+                "0.5",
+            ],
+            &["sweep", "--process", "p018", "--no-simulation"],
+            &["validate", "--corpus", "8"],
+            &[
+                "optimize",
+                "--process",
+                "p018",
+                "--max-drivers",
+                "8",
+                "--l-points",
+                "4",
+                "--c-points",
+                "2",
+                "--tr-points",
+                "2",
+            ],
+        ];
+        for argv in commands {
+            let (res, plain) = run_to_string(argv);
+            assert!(res.is_ok(), "{plain}");
+            let mut with_journal = argv.to_vec();
+            with_journal.extend(["--checkpoint", journal]);
+            let (res, journaled) = run_to_string(&with_journal);
+            assert!(res.is_ok(), "{journaled}");
+            for text in [&plain, &journaled] {
+                let run_line = text.lines().find(|l| l.starts_with("run: "));
+                let run_line = run_line.unwrap_or_else(|| panic!("no run line: {text}"));
+                assert!(!run_line.contains("elapsed across sessions"), "{run_line}");
+            }
+            assert_eq!(
+                mask_run_timing(&plain),
+                mask_run_timing(&journaled),
+                "{argv:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn validate_rejects_bad_options() {
         let (res, _) = run_to_string(&["validate", "--corpus", "4", "--threads", "0"]);

@@ -9,14 +9,14 @@
 //! how should switching be staggered?*
 
 use crate::durable::{
-    run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    run_chunked_durable, ByteReader, ByteWriter, DegradeStep, Durability, DurableOptions,
+    ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
 use crate::faults::Faults;
 use crate::lcmodel;
 use crate::lcmodel::MaxSsnCase;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{ExecPolicy, ExecStats};
 use crate::scenario::SsnScenario;
 use ssn_numeric::optimize::golden_section;
 use ssn_numeric::roots::RootOptions;
@@ -266,7 +266,7 @@ const GRID_CHUNK: usize = 64;
 /// Sweeps the `drivers` × `inductances` design grid around `template` on
 /// the parallel engine, returning one [`GridPoint`] per `(N, L)` pair in
 /// row-major order (`drivers` outer, `inductances` inner) plus run
-/// telemetry.
+/// telemetry: [`sweep_design_grid_durable`] with no journal and no budget.
 ///
 /// The evaluation is deterministic: point order and values are identical
 /// for every `policy.threads()`.
@@ -288,38 +288,14 @@ pub fn sweep_design_grid(
     inductances: &[Henrys],
     policy: &ExecPolicy,
 ) -> Result<(Vec<GridPoint>, ExecStats), SsnError> {
-    validate_grid(drivers, inductances)?;
-    let n_points = drivers.len() * inductances.len();
-    let _run_span = ssn_telemetry::span("grid.run");
-    let (chunks, mut stats) = try_run_chunked(n_points, GRID_CHUNK, policy, |c, range| {
-        grid_chunk(template, drivers, inductances, c, range, policy.faults())
-    });
-    let total = chunks.len();
-    let mut points = Vec::with_capacity(n_points);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for chunk in chunks {
-        match chunk {
-            Ok(Ok(ps)) => points.extend(ps),
-            Ok(Err(e)) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-            Err(e) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-        }
-    }
-    stats.failed_chunks = failed;
-    if points.is_empty() {
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_else(|| "unknown".into()),
-        });
-    }
-    Ok((points, stats))
+    sweep_design_grid_durable(
+        template,
+        drivers,
+        inductances,
+        policy,
+        &DurableOptions::none(),
+    )
+    .map(|(points, stats, _)| (points, stats))
 }
 
 fn validate_grid(drivers: &[usize], inductances: &[Henrys]) -> Result<(), SsnError> {
@@ -357,9 +333,8 @@ fn validate_grid(drivers: &[usize], inductances: &[Henrys]) -> Result<(), SsnErr
     Ok(())
 }
 
-/// Evaluates one grid chunk in row-major order. The shared body of the
-/// plain and durable runners — both must produce identical chunk results
-/// for the resume invariant to hold.
+/// Evaluates one grid chunk in row-major order. A pure function of the
+/// chunk index, as the resume invariant requires.
 fn grid_chunk(
     template: &SsnScenario,
     drivers: &[usize],
@@ -487,49 +462,11 @@ pub fn sweep_design_grid_durable(
         |c, range| grid_chunk(template, drivers, inductances, c, range, policy.faults()),
     )?;
 
-    let mut durability = Durability {
-        resumed_chunks: run.resumed_chunks,
-        deadline_hit: run.deadline_hit,
-        degradation: Vec::new(),
-    };
-    if let Some(d) = &run.checkpoint_degraded {
-        durability.note_degrade(
-            DegradeStep::Uncheckpointed,
-            d.total_chunks,
-            d.committed_chunks,
-        );
-    }
-    let total = run.stats.chunks;
-    let mut points = Vec::with_capacity(n_points);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for outcome in run.chunks {
-        match outcome {
-            ChunkOutcome::Done(ps) => points.extend(ps),
-            ChunkOutcome::Failed(cause) => {
-                failed += 1;
-                first_cause.get_or_insert(cause);
-            }
-            ChunkOutcome::DeadlineSkipped => {}
-        }
-    }
-    if points.is_empty() {
-        if run.deadline_hit && failed == 0 {
-            return Err(SsnError::DeadlineExhausted {
-                completed_items: 0,
-                planned_items: n_points,
-            });
-        }
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_else(|| "unknown".into()),
-        });
-    }
-    if run.deadline_hit && points.len() < n_points {
+    let (points, stats, mut durability) = run.into_items(n_points, |_| Ok(()))?;
+    if durability.deadline_hit && points.len() < n_points {
         durability.note_degrade(DegradeStep::CoarsenGrid, n_points, points.len());
     }
-    Ok((points, run.stats, durability))
+    Ok((points, stats, durability))
 }
 
 impl std::fmt::Display for StaggerPlan {

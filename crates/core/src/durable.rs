@@ -949,7 +949,10 @@ pub struct DurableOptions {
 }
 
 impl DurableOptions {
-    /// No checkpoint, no budget — behaves like the non-durable entry point.
+    /// No checkpoint, no budget: the run keeps no journal and never
+    /// expires. Every chunked entry point's plain wrapper (e.g.
+    /// [`crate::montecarlo::run_monte_carlo_with`]) is the durable runner
+    /// under these options — there is one runner, not two.
     pub fn none() -> Self {
         Self::default()
     }
@@ -995,6 +998,76 @@ pub struct DurableRun<T> {
     /// callers fold it into their [`Durability`] as a
     /// [`DegradeStep::Uncheckpointed`] event.
     pub checkpoint_degraded: Option<CheckpointDegraded>,
+}
+
+impl<T> DurableRun<T> {
+    /// The run's durability facts, with a lost journal already recorded
+    /// as a [`DegradeStep::Uncheckpointed`] event; callers append their
+    /// own fidelity downgrades.
+    pub fn durability(&self) -> Durability {
+        let mut durability = Durability {
+            resumed_chunks: self.resumed_chunks,
+            deadline_hit: self.deadline_hit,
+            degradation: Vec::new(),
+        };
+        if let Some(d) = &self.checkpoint_degraded {
+            durability.note_degrade(
+                DegradeStep::Uncheckpointed,
+                d.total_chunks,
+                d.committed_chunks,
+            );
+        }
+        durability
+    }
+}
+
+impl<T> DurableRun<Vec<T>> {
+    /// Flattens the completed chunks' items in chunk order, calling
+    /// `on_skipped(c)` for every deadline-skipped chunk `c`. Failed chunks
+    /// drop their items (they are counted in
+    /// [`ExecStats::failed_chunks`]).
+    ///
+    /// # Errors
+    ///
+    /// When no item survived: [`SsnError::DeadlineExhausted`] if the
+    /// budget expired and nothing failed, else
+    /// [`SsnError::AllChunksFailed`] with the first failure's cause. Any
+    /// error from `on_skipped` is passed through.
+    pub fn into_items(
+        self,
+        planned: usize,
+        mut on_skipped: impl FnMut(usize) -> Result<(), SsnError>,
+    ) -> Result<(Vec<T>, ExecStats, Durability), SsnError> {
+        let durability = self.durability();
+        let total = self.chunks.len();
+        let mut items = Vec::with_capacity(planned);
+        let mut failed = 0usize;
+        let mut first_cause: Option<String> = None;
+        for (c, outcome) in self.chunks.into_iter().enumerate() {
+            match outcome {
+                ChunkOutcome::Done(vs) => items.extend(vs),
+                ChunkOutcome::Failed(cause) => {
+                    failed += 1;
+                    first_cause.get_or_insert(cause);
+                }
+                ChunkOutcome::DeadlineSkipped => on_skipped(c)?,
+            }
+        }
+        if items.is_empty() {
+            if self.deadline_hit && failed == 0 {
+                return Err(SsnError::DeadlineExhausted {
+                    completed_items: 0,
+                    planned_items: planned,
+                });
+            }
+            return Err(SsnError::AllChunksFailed {
+                failed,
+                total,
+                first_cause: first_cause.unwrap_or_default(),
+            });
+        }
+        Ok((items, self.stats, durability))
+    }
 }
 
 /// Runs `spec`'s chunks with checkpoint/resume and a deadline budget.
@@ -1123,6 +1196,9 @@ where
     let prior_elapsed = store
         .as_ref()
         .map_or(Duration::ZERO, CheckpointStore::prior_elapsed);
+    // With no journal there is nothing to encode or commit, and the crash
+    // plan (which fires after commits) can never trigger.
+    let journaled = store.is_some();
     let resumed_count = resumed.len();
 
     let pending: Vec<usize> = (0..n_chunks).filter(|c| !resumed.contains_key(c)).collect();
@@ -1167,6 +1243,7 @@ where
                 Ok(None)
             }
             Err(e) => Err(e),
+            Ok(value) if !journaled => Ok(Some(value)),
             Ok(value) => {
                 let payload = encode(&value);
                 let mut guard = cell.lock().unwrap_or_else(|e| e.into_inner());
@@ -1301,7 +1378,7 @@ where
         .sum();
     stats.chunks = n_chunks;
     stats.checkpointed_chunks = resumed_count;
-    stats.elapsed_wall = prior_elapsed + started.elapsed();
+    stats.elapsed_wall = prior_elapsed + stats.wall;
     stats.failed_chunks = outcomes
         .iter()
         .filter(|o| matches!(o, ChunkOutcome::Failed(_)))
@@ -1590,6 +1667,40 @@ mod tests {
             golden.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "resume must be bit-identical to the uninterrupted run"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn elapsed_wall_exceeds_wall_only_after_a_resume() {
+        let path = temp_path("elapsed");
+        let spec = toy_spec(9);
+        let run = |checkpoint: Option<PathBuf>, resume: bool| {
+            let opts = DurableOptions {
+                checkpoint,
+                resume,
+                budget: RunBudget::unlimited(),
+            };
+            run_chunked_durable(
+                &spec,
+                &ExecPolicy::serial(),
+                &opts,
+                encode_chunk,
+                decode_chunk,
+                toy_eval(&spec),
+            )
+            .unwrap()
+            .stats
+        };
+        // Fresh runs, with and without a journal: one session, so the
+        // elapsed time is this session's wall.
+        for fresh in [run(None, false), run(Some(path.clone()), false)] {
+            assert_eq!(fresh.elapsed_wall, fresh.wall);
+            assert!(!fresh.to_string().contains("across sessions"), "{fresh}");
+        }
+        // Resuming the journal just written adds its recorded sessions.
+        let resumed = run(Some(path.clone()), true);
+        assert_eq!(resumed.checkpointed_chunks, spec.n_chunks());
+        assert!(resumed.elapsed_wall > resumed.wall);
         std::fs::remove_file(&path).ok();
     }
 

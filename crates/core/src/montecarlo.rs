@@ -32,14 +32,14 @@
 //! resume).
 
 use crate::durable::{
-    run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    run_chunked_durable, ByteReader, ByteWriter, DegradeStep, Durability, DurableOptions,
+    ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
 use crate::faults::Faults;
 use crate::lcmodel;
 use crate::lmodel;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{ExecPolicy, ExecStats};
 use crate::scenario::{Rail, SsnScenario};
 use ssn_numeric::rng::Rng;
 use ssn_numeric::stats;
@@ -442,7 +442,8 @@ pub fn run_monte_carlo(
 }
 
 /// Runs the Monte Carlo analysis on the parallel engine and returns the
-/// result together with run telemetry.
+/// result together with run telemetry: [`run_monte_carlo_durable`] with no
+/// journal and no budget.
 ///
 /// Samples are drawn in fixed [`MC_CHUNK`]-sized blocks, chunk `c` from
 /// RNG stream `(seed, c)`; the result is bit-identical for every
@@ -467,75 +468,21 @@ pub fn run_monte_carlo_with(
     seed: u64,
     policy: &ExecPolicy,
 ) -> Result<(McResult, ExecStats), SsnError> {
-    run_monte_carlo_with_path(nominal, spec, n_samples, seed, policy, McPath::default())
-}
-
-/// [`run_monte_carlo_with`] on an explicit evaluation path.
-///
-/// The path never changes results — [`McPath::Scalar`] exists as the
-/// differential reference for the batched default, and the equivalence
-/// suite pins `Batched == Scalar` bit for bit at every thread count.
-///
-/// # Errors
-///
-/// As [`run_monte_carlo_with`].
-pub fn run_monte_carlo_with_path(
-    nominal: &SsnScenario,
-    spec: &VariationSpec,
-    n_samples: usize,
-    seed: u64,
-    policy: &ExecPolicy,
-    path: McPath,
-) -> Result<(McResult, ExecStats), SsnError> {
-    if n_samples == 0 {
-        return Err(SsnError::invalid(
-            "samples",
-            0.0,
-            "need at least one Monte Carlo sample",
-        ));
-    }
-    spec.validate()?;
-    let _run_span = ssn_telemetry::span("mc.run");
-    let (chunks, mut stats) = try_run_chunked(n_samples, MC_CHUNK, policy, |c, range| {
-        mc_chunk(nominal, spec, seed, c, range, path, policy.faults())
-    });
-    let _collect_span = ssn_telemetry::span("mc.collect");
-    let total = stats.chunks;
-    let mut samples = Vec::with_capacity(n_samples);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for chunk in chunks {
-        match chunk {
-            Ok(Ok(vs)) => samples.extend(vs),
-            Ok(Err(e)) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-            Err(e) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-        }
-    }
-    stats.failed_chunks = failed;
-    if samples.is_empty() {
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
-    // total_cmp, not partial_cmp: every sample is checked finite above, but
-    // a total order keeps the sort panic-free by construction.
-    samples.sort_by(|a, b| a.total_cmp(b));
-    Ok((McResult { samples }, stats))
+    run_monte_carlo_durable(
+        nominal,
+        spec,
+        n_samples,
+        seed,
+        policy,
+        &DurableOptions::none(),
+    )
+    .map(|(result, stats, _)| (result, stats))
 }
 
 /// Evaluates one Monte Carlo chunk: samples `range` from RNG stream
 /// `(seed, c)` on the selected path, then applies the run's fault plane.
-/// The shared body of the plain and durable runners — all paths must
-/// produce identical chunk results for the determinism and resume
-/// invariants to hold.
+/// Both paths must produce identical chunk results for the determinism
+/// and resume invariants to hold.
 fn mc_chunk(
     nominal: &SsnScenario,
     spec: &VariationSpec,
@@ -761,50 +708,16 @@ pub fn run_monte_carlo_durable_with_path(
         |c, range| mc_chunk(nominal, spec, seed, c, range, path, policy.faults()),
     )?;
 
-    let mut durability = Durability {
-        resumed_chunks: run.resumed_chunks,
-        deadline_hit: run.deadline_hit,
-        degradation: Vec::new(),
-    };
-    if let Some(d) = &run.checkpoint_degraded {
-        durability.note_degrade(
-            DegradeStep::Uncheckpointed,
-            d.total_chunks,
-            d.committed_chunks,
-        );
-    }
-    let total = run.stats.chunks;
-    let mut samples = Vec::with_capacity(n_samples);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for outcome in run.chunks {
-        match outcome {
-            ChunkOutcome::Done(vs) => samples.extend(vs),
-            ChunkOutcome::Failed(cause) => {
-                failed += 1;
-                first_cause.get_or_insert(cause);
-            }
-            ChunkOutcome::DeadlineSkipped => {}
-        }
-    }
-    if samples.is_empty() {
-        if run.deadline_hit && failed == 0 {
-            return Err(SsnError::DeadlineExhausted {
-                completed_items: 0,
-                planned_items: n_samples,
-            });
-        }
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
-    if run.deadline_hit && samples.len() < n_samples {
+    let _collect_span = ssn_telemetry::span("mc.collect");
+    let (mut samples, stats, mut durability) = run.into_items(n_samples, |_| Ok(()))?;
+    if durability.deadline_hit && samples.len() < n_samples {
         durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, samples.len());
     }
+    // total_cmp, not partial_cmp: every sample is checked finite in
+    // `mc_chunk`, but a total order keeps the sort panic-free by
+    // construction.
     samples.sort_by(|a, b| a.total_cmp(b));
-    Ok((McResult { samples }, run.stats, durability))
+    Ok((McResult { samples }, stats, durability))
 }
 
 #[cfg(test)]

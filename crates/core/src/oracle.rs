@@ -23,20 +23,20 @@
 //! and the result is serialized as a self-contained repro file (scenario
 //! dump + observed/expected numbers + replayable SPICE deck).
 //!
-//! The sweep runs on the deterministic parallel engine
-//! ([`crate::parallel::try_run_chunked`]): scenario `i` draws from RNG
+//! The sweep runs on the durable chunked runner
+//! ([`crate::durable::run_chunked_durable`]): scenario `i` draws from RNG
 //! stream `(seed, i)`, chunks are panic-isolated, and the report is
 //! bit-identical for every thread count.
 
 use crate::durable::{
-    run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    run_chunked_durable, ByteReader, ByteWriter, DegradeStep, Durability, DurableOptions,
+    ParamDigest, RunSpec,
 };
 use crate::error::{CheckpointErrorKind, SsnError};
 use crate::faults::Faults;
 use crate::lcmodel::{self, MaxSsnCase};
 use crate::lmodel;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{ExecPolicy, ExecStats};
 use crate::scenario::{Rail, ScenarioConfig, SsnScenario};
 use ssn_numeric::rng::Rng;
 use ssn_numeric::shrink;
@@ -674,7 +674,8 @@ impl OracleReport {
     }
 }
 
-/// Runs the corpus-scale differential comparison.
+/// Runs the corpus-scale differential comparison:
+/// [`run_differential_durable`] with no journal and no budget.
 ///
 /// **Determinism contract:** scenario `i` draws from RNG stream
 /// `(seed, i)` and every aggregation is order-independent, so the report
@@ -690,60 +691,11 @@ impl OracleReport {
 ///   malformed.
 /// * [`SsnError::AllChunksFailed`] when not a single chunk survived.
 pub fn run_differential(opts: &OracleOptions) -> Result<OracleReport, SsnError> {
-    if opts.corpus == 0 {
-        return Err(SsnError::invalid(
-            "corpus",
-            0.0,
-            "need at least one scenario",
-        ));
-    }
-    opts.policy.validate()?;
-    let _run_span = ssn_telemetry::span("oracle.run");
-
-    let (chunks, mut stats) = try_run_chunked(opts.corpus, ORACLE_CHUNK, &opts.exec, |c, range| {
-        oracle_chunk(opts.seed, &opts.policy, c, range, opts.exec.faults())
-    });
-
-    let _collect_span = ssn_telemetry::span("oracle.collect");
-    let total = stats.chunks;
-    let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(opts.corpus);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for chunk in chunks {
-        match chunk {
-            Ok(Ok(os)) => outcomes.extend(os),
-            Ok(Err(e)) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-            Err(e) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-        }
-    }
-    stats.failed_chunks = failed;
-    if outcomes.is_empty() {
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
-
-    build_report(
-        outcomes,
-        failed,
-        stats,
-        &opts.policy,
-        opts.max_repros,
-        Vec::new(),
-    )
+    run_differential_durable(opts, &DurableOptions::none()).map(|(report, _)| report)
 }
 
 /// One corpus chunk: scenarios `range`, each drawing from RNG stream
-/// `(seed, index)` — the shared body of [`run_differential`] and
-/// [`run_differential_durable`].
+/// `(seed, index)`.
 fn oracle_chunk(
     seed: u64,
     policy: &TolerancePolicy,
@@ -767,10 +719,9 @@ fn oracle_chunk(
 }
 
 /// Aggregates evaluated outcomes into the final [`OracleReport`] (per-case
-/// summaries, violation count, minimized repros) — shared by both runners.
+/// summaries, violation count, minimized repros).
 fn build_report(
     outcomes: Vec<ScenarioOutcome>,
-    failed: usize,
     stats: ExecStats,
     policy: &TolerancePolicy,
     max_repros: usize,
@@ -810,7 +761,7 @@ fn build_report(
 
     Ok(OracleReport {
         scenarios: outcomes.len(),
-        failed_chunks: failed,
+        failed_chunks: stats.failed_chunks,
         violations,
         cases,
         repros,
@@ -982,72 +933,26 @@ pub fn run_differential_durable(
     )?;
 
     let _collect_span = ssn_telemetry::span("oracle.collect");
-    let mut durability = Durability {
-        resumed_chunks: run.resumed_chunks,
-        deadline_hit: run.deadline_hit,
-        degradation: Vec::new(),
-    };
-    if let Some(d) = &run.checkpoint_degraded {
-        durability.note_degrade(
-            DegradeStep::Uncheckpointed,
-            d.total_chunks,
-            d.committed_chunks,
-        );
-    }
-    let total = run.stats.chunks;
-    let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(opts.corpus);
     let mut fallbacks: Vec<ClosedFormFallback> = Vec::new();
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for (c, outcome) in run.chunks.into_iter().enumerate() {
-        match outcome {
-            ChunkOutcome::Done(os) => outcomes.extend(os),
-            ChunkOutcome::Failed(cause) => {
-                failed += 1;
-                first_cause.get_or_insert(cause);
-            }
-            ChunkOutcome::DeadlineSkipped => {
-                // Last ladder rung: no transient, closed forms only.
-                for i in spec.range(c) {
-                    let s = corpus_scenario(opts.seed, i).validate()?;
-                    let (vn, case) = lcmodel::vn_max(&s);
-                    fallbacks.push(ClosedFormFallback {
-                        index: i,
-                        case,
-                        vn_max: vn.value(),
-                        l_only_vn_max: lmodel::vn_max(&s).value(),
-                    });
-                }
-            }
-        }
-    }
-    if outcomes.is_empty() {
-        if run.deadline_hit && failed == 0 {
-            return Err(SsnError::DeadlineExhausted {
-                completed_items: 0,
-                planned_items: opts.corpus,
+    let (outcomes, stats, mut durability) = run.into_items(opts.corpus, |c| {
+        // Last ladder rung: no transient, closed forms only.
+        for i in spec.range(c) {
+            let s = corpus_scenario(opts.seed, i).validate()?;
+            let (vn, case) = lcmodel::vn_max(&s);
+            fallbacks.push(ClosedFormFallback {
+                index: i,
+                case,
+                vn_max: vn.value(),
+                l_only_vn_max: lmodel::vn_max(&s).value(),
             });
         }
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
+        Ok(())
+    })?;
     if !fallbacks.is_empty() {
         durability.note_degrade(DegradeStep::ClosedFormOnly, opts.corpus, outcomes.len());
     }
 
-    let mut stats = run.stats;
-    stats.failed_chunks = failed;
-    let report = build_report(
-        outcomes,
-        failed,
-        stats,
-        &opts.policy,
-        opts.max_repros,
-        fallbacks,
-    )?;
+    let report = build_report(outcomes, stats, &opts.policy, opts.max_repros, fallbacks)?;
     Ok((report, durability))
 }
 

@@ -453,21 +453,6 @@ where
     (results, stats)
 }
 
-/// [`par_map`] with per-chunk panic isolation: an item whose evaluation
-/// panics yields `Err(`[`ChunkError`]`)` in its slot; the others complete.
-pub fn try_par_map<I, O, F>(
-    items: &[I],
-    policy: &ExecPolicy,
-    f: F,
-) -> (Vec<Result<O, ChunkError>>, ExecStats)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    try_run_chunked(items.len(), 1, policy, |_, range| f(&items[range.start]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

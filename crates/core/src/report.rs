@@ -18,26 +18,23 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The shared run footer for corpus-scale commands: the `run:` statistics
-/// line plus — only when a durable run actually resumed, hit its deadline,
-/// or degraded — one line per durability fact. A fresh full-fidelity run
-/// renders exactly the single `run:` line, so golden outputs of
-/// non-durable invocations are unchanged byte-for-byte.
-pub fn run_footer(stats: &ExecStats, durability: Option<&Durability>) -> String {
+/// line plus — only when the run actually resumed, hit its deadline, or
+/// degraded — one line per durability fact. A fresh full-fidelity run
+/// ([`Durability::default`]) renders exactly the single `run:` line.
+pub fn run_footer(stats: &ExecStats, durability: &Durability) -> String {
     let mut s = format!("run: {stats}\n");
-    if let Some(d) = durability {
-        if d.resumed_chunks > 0 {
-            let _ = writeln!(
-                s,
-                "resume: {} chunk(s) restored from checkpoint",
-                d.resumed_chunks
-            );
-        }
-        if d.deadline_hit {
-            let _ = writeln!(s, "deadline: budget expired before the full run completed");
-        }
-        for e in &d.degradation {
-            let _ = writeln!(s, "degraded: {e}");
-        }
+    if durability.resumed_chunks > 0 {
+        let _ = writeln!(
+            s,
+            "resume: {} chunk(s) restored from checkpoint",
+            durability.resumed_chunks
+        );
+    }
+    if durability.deadline_hit {
+        let _ = writeln!(s, "deadline: budget expired before the full run completed");
+    }
+    for e in &durability.degradation {
+        let _ = writeln!(s, "degraded: {e}");
     }
     s
 }
@@ -185,20 +182,16 @@ mod tests {
             checkpointed_chunks: 0,
             elapsed_wall: std::time::Duration::from_millis(5),
         };
-        let fresh = Durability {
-            resumed_chunks: 0,
-            deadline_hit: false,
-            degradation: Vec::new(),
-        };
-        let base = run_footer(&stats, None);
+        let base = run_footer(&stats, &Durability::default());
         assert_eq!(base, format!("run: {stats}\n"));
-        assert_eq!(run_footer(&stats, Some(&fresh)), base, "golden unchanged");
 
-        let mut d = fresh;
-        d.resumed_chunks = 3;
-        d.deadline_hit = true;
+        let mut d = Durability {
+            resumed_chunks: 3,
+            deadline_hit: true,
+            ..Durability::default()
+        };
         d.note_degrade(crate::durable::DegradeStep::ShrinkSamples, 100, 40);
-        let text = run_footer(&stats, Some(&d));
+        let text = run_footer(&stats, &d);
         assert!(text.starts_with(&base));
         assert!(text.contains("resume: 3 chunk(s)"));
         assert!(text.contains("deadline: budget expired"));

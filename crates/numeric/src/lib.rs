@@ -18,7 +18,6 @@
 //!   (`newton` → `brent` → `bisect` with bracket expansion) that reports
 //!   which rung succeeded,
 //! * [`optimize`] — linear least squares and Levenberg–Marquardt,
-//! * [`interp`] — linear and monotone-cubic interpolation,
 //! * [`ode`] — reference ODE integrators (RK4, adaptive RKF45) used to
 //!   cross-check both the closed-form SSN solutions and the simulator,
 //! * [`stats`] — error metrics, grid helpers, and pinned-order reductions,
@@ -54,12 +53,10 @@ pub mod check;
 pub mod clu;
 pub mod complex;
 pub mod gmres;
-pub mod interp;
 pub mod lu;
 pub mod matrix;
 pub mod ode;
 pub mod optimize;
-pub mod quadrature;
 pub mod rng;
 pub mod roots;
 pub mod shrink;

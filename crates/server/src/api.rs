@@ -19,10 +19,10 @@ use crate::json::{self, Obj};
 use ssn_core::design;
 use ssn_core::durable::{Durability, DurableOptions, ParamDigest};
 use ssn_core::error::{CheckpointErrorKind, SsnError};
-use ssn_core::montecarlo::{run_monte_carlo_durable, run_monte_carlo_with, VariationSpec};
+use ssn_core::montecarlo::{run_monte_carlo_durable, VariationSpec};
 use ssn_core::optimize::{self, DesignSpace, ObjectiveSet, OptimizeOptions};
 use ssn_core::oracle::{self, run_differential_durable, OracleOptions};
-use ssn_core::parallel::ExecPolicy;
+use ssn_core::parallel::{ExecPolicy, ExecStats};
 use ssn_core::scenario::SsnScenario;
 use ssn_core::{lcmodel, lmodel};
 use ssn_devices::process::Process;
@@ -488,55 +488,32 @@ impl ApiRequest {
                 }
             }
             Self::Validate { .. } => {}
-            Self::Optimize { max_noise_frac, .. } => {
+            Self::Optimize {
+                sc,
+                max_drivers,
+                l_points,
+                c_points,
+                tr_points,
+                span,
+                objective,
+                max_noise_frac,
+            } => {
                 // Builds the template scenario *and* the design space, so
                 // axis-domain problems (e.g. a multi-point C axis around a
                 // zero-capacitance package) are 400s here, not failed jobs.
-                req.optimize_inputs()?;
+                optimize_inputs(
+                    sc,
+                    [*max_drivers, *l_points, *c_points, *tr_points],
+                    *span,
+                    *objective,
+                    *max_noise_frac,
+                )?;
                 if let Some(f) = max_noise_frac {
                     check_finite_positive("max-noise-frac", *f)?;
                 }
             }
         }
         Ok(req)
-    }
-
-    /// Resolves an [`ApiRequest::Optimize`] into its template scenario,
-    /// design space, and search options (the same construction the CLI
-    /// uses, so spellings and digests agree across front ends).
-    fn optimize_inputs(&self) -> Result<(SsnScenario, DesignSpace, OptimizeOptions), ApiError> {
-        let Self::Optimize {
-            sc,
-            max_drivers,
-            l_points,
-            c_points,
-            tr_points,
-            span,
-            objective,
-            max_noise_frac,
-        } = self
-        else {
-            return Err(ApiError {
-                status: 500,
-                kind: "internal",
-                detail: "optimize_inputs on a non-optimize request".into(),
-            });
-        };
-        let template = sc.build()?;
-        let space = DesignSpace::around(
-            &template,
-            *max_drivers,
-            *l_points,
-            *c_points,
-            *tr_points,
-            *span,
-        )
-        .map_err(|e| ApiError::bad(e.to_string()))?;
-        let opts = OptimizeOptions {
-            objectives: *objective,
-            max_noise_frac: *max_noise_frac,
-        };
-        Ok((template, space, opts))
     }
 
     /// Which endpoint this request belongs to.
@@ -634,49 +611,21 @@ impl ApiRequest {
     }
 
     /// Runs the request to completion in the calling thread with no
-    /// checkpoint (the small-request path).
+    /// checkpoint (the small-request path): [`ApiRequest::run_durable`]
+    /// under [`DurableOptions::none`].
     ///
     /// # Errors
     ///
     /// Typed [`ApiError`] for any model/domain failure.
     pub fn run_sync(&self) -> Result<Vec<u8>, ApiError> {
-        match self {
-            Self::Estimate { sc } => render_estimate(sc),
-            Self::Budget { sc, budget } => render_budget(sc, *budget),
-            Self::MonteCarlo {
-                sc,
-                samples,
-                seed,
-                var,
-                budget,
-            } => {
-                let scenario = sc.build()?;
-                let (result, stats) =
-                    run_monte_carlo_with(&scenario, var, *samples, *seed, &ExecPolicy::auto())?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
-                render_montecarlo(self, sc, &result, *budget)
-            }
-            Self::Sweep { .. } | Self::Validate { .. } | Self::Optimize { .. } => {
-                let durable = DurableOptions::none();
-                self.run_durable(&durable, &ExecPolicy::auto())
-                    .map(|(bytes, _)| bytes)
-            }
-        }
+        self.run_durable(&DurableOptions::none(), &ExecPolicy::auto())
+            .map(|(bytes, _)| bytes)
     }
 
     /// Runs the request under the durable engine: checkpoint journal,
-    /// resume, and a cancellable budget (the job path; also the sync path
-    /// for sweep/validate with [`DurableOptions::none`]). `policy` carries
-    /// the run's threads and fault plane.
+    /// resume, and a cancellable budget (the job path, and with
+    /// [`DurableOptions::none`] the sync path). `policy` carries the run's
+    /// threads and fault plane.
     ///
     /// # Errors
     ///
@@ -688,10 +637,9 @@ impl ApiRequest {
         policy: &ExecPolicy,
     ) -> Result<(Vec<u8>, Durability), ApiError> {
         match self {
-            Self::Estimate { .. } | Self::Budget { .. } => {
-                // Closed forms are instant; durability is meaningless.
-                Ok((self.run_sync()?, Durability::default()))
-            }
+            // Closed forms are instant; durability is meaningless.
+            Self::Estimate { sc } => Ok((render_estimate(sc)?, Durability::default())),
+            Self::Budget { sc, budget } => Ok((render_budget(sc, *budget)?, Durability::default())),
             Self::MonteCarlo {
                 sc,
                 samples,
@@ -702,17 +650,9 @@ impl ApiRequest {
                 let scenario = sc.build()?;
                 let (result, stats, durability) =
                     run_monte_carlo_durable(&scenario, var, *samples, *seed, policy, durable)?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
-                Ok((render_montecarlo(self, sc, &result, *budget)?, durability))
+                refuse_partial(&stats)?;
+                let body = render_montecarlo(sc, *samples, *seed, var, &result, *budget);
+                Ok((body, durability))
             }
             Self::Sweep { sc, max_drivers } => {
                 let scenario = sc.build()?;
@@ -725,17 +665,8 @@ impl ApiRequest {
                     policy,
                     durable,
                 )?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
-                Ok((render_sweep(sc, *max_drivers, &points)?, durability))
+                refuse_partial(&stats)?;
+                Ok((render_sweep(sc, *max_drivers, &points), durability))
             }
             Self::Validate { corpus, seed } => {
                 let opts = OracleOptions {
@@ -746,26 +677,78 @@ impl ApiRequest {
                     ..OracleOptions::default()
                 };
                 let (report, durability) = run_differential_durable(&opts, durable)?;
-                Ok((render_validate(*corpus, *seed, &report)?, durability))
+                Ok((render_validate(*corpus, *seed, &report), durability))
             }
-            Self::Optimize { .. } => {
-                let (template, space, opts) = self.optimize_inputs()?;
+            Self::Optimize {
+                sc,
+                max_drivers,
+                l_points,
+                c_points,
+                tr_points,
+                span,
+                objective,
+                max_noise_frac,
+            } => {
+                let (template, space, opts) = optimize_inputs(
+                    sc,
+                    [*max_drivers, *l_points, *c_points, *tr_points],
+                    *span,
+                    *objective,
+                    *max_noise_frac,
+                )?;
                 let (outcome, stats, durability) =
                     optimize::search_durable(&template, &space, &opts, policy, durable)?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
-                Ok((render_optimize(self, &outcome)?, durability))
+                refuse_partial(&stats)?;
+                let body = render_optimize(
+                    sc,
+                    [*max_drivers, *l_points, *c_points, *tr_points],
+                    *span,
+                    *objective,
+                    *max_noise_frac,
+                    &outcome,
+                );
+                Ok((body, durability))
             }
         }
     }
+}
+
+/// Refuses a result that lost chunks: a response body must be the full
+/// computation or an error, never silently partial data.
+fn refuse_partial(stats: &ExecStats) -> Result<(), ApiError> {
+    if stats.failed_chunks > 0 {
+        return Err(ApiError {
+            status: 500,
+            kind: "partial-result",
+            detail: format!(
+                "{} chunk(s) failed; refusing partial data",
+                stats.failed_chunks
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Resolves an [`ApiRequest::Optimize`]'s fields into its template
+/// scenario, design space, and search options (the same construction the
+/// CLI uses, so spellings and digests agree across front ends). `axes` is
+/// `[max_drivers, l_points, c_points, tr_points]`.
+fn optimize_inputs(
+    sc: &ScenarioParams,
+    axes: [usize; 4],
+    span: f64,
+    objectives: ObjectiveSet,
+    max_noise_frac: Option<f64>,
+) -> Result<(SsnScenario, DesignSpace, OptimizeOptions), ApiError> {
+    let [max_drivers, l_points, c_points, tr_points] = axes;
+    let template = sc.build()?;
+    let space = DesignSpace::around(&template, max_drivers, l_points, c_points, tr_points, span)
+        .map_err(|e| ApiError::bad(e.to_string()))?;
+    let opts = OptimizeOptions {
+        objectives,
+        max_noise_frac,
+    };
+    Ok((template, space, opts))
 }
 
 fn check_finite_positive(field: &str, v: f64) -> Result<(), ApiError> {
@@ -814,25 +797,17 @@ fn render_budget(sc: &ScenarioParams, budget: f64) -> Result<Vec<u8>, ApiError> 
 }
 
 fn render_montecarlo(
-    req: &ApiRequest,
     sc: &ScenarioParams,
+    samples: usize,
+    seed: u64,
+    var: &VariationSpec,
     result: &ssn_core::montecarlo::McResult,
     budget: Option<f64>,
-) -> Result<Vec<u8>, ApiError> {
-    let ApiRequest::MonteCarlo {
-        samples, seed, var, ..
-    } = req
-    else {
-        return Err(ApiError {
-            status: 500,
-            kind: "internal",
-            detail: "render_montecarlo on a non-montecarlo request".into(),
-        });
-    };
+) -> Vec<u8> {
     let o = sc
         .render_into(Obj::new().str("endpoint", "montecarlo"))
-        .u64("samples", *samples as u64)
-        .u64("seed", *seed)
+        .u64("samples", samples as u64)
+        .u64("seed", seed)
         .f64("k_frac", var.k_frac)
         .f64("sigma_abs", var.sigma_abs)
         .f64("v0_abs", var.v0_abs)
@@ -850,14 +825,14 @@ fn render_montecarlo(
             .f64("yield", result.yield_within(Volts::new(b))),
         None => o,
     };
-    Ok(o.finish().into_bytes())
+    o.finish().into_bytes()
 }
 
 fn render_sweep(
     sc: &ScenarioParams,
     max_drivers: usize,
     points: &[ssn_core::design::GridPoint],
-) -> Result<Vec<u8>, ApiError> {
+) -> Vec<u8> {
     let rendered: Vec<String> = points
         .iter()
         .map(|p| {
@@ -876,14 +851,10 @@ fn render_sweep(
         .u64("points_delivered", points.len() as u64)
         .raw("points", &json::array(&rendered))
         .finish();
-    Ok(body.into_bytes())
+    body.into_bytes()
 }
 
-fn render_validate(
-    corpus: usize,
-    seed: u64,
-    report: &ssn_core::oracle::OracleReport,
-) -> Result<Vec<u8>, ApiError> {
+fn render_validate(corpus: usize, seed: u64, report: &ssn_core::oracle::OracleReport) -> Vec<u8> {
     let cases: Vec<String> = report
         .cases
         .iter()
@@ -909,30 +880,20 @@ fn render_validate(
         .u64("closed_form_fallbacks", report.fallbacks.len() as u64)
         .raw("cases", &json::array(&cases))
         .finish();
-    Ok(body.into_bytes())
+    body.into_bytes()
 }
 
+/// `axes` is `[max_drivers, l_points, c_points, tr_points]`, as in
+/// [`optimize_inputs`].
 fn render_optimize(
-    req: &ApiRequest,
+    sc: &ScenarioParams,
+    axes: [usize; 4],
+    span: f64,
+    objective: ObjectiveSet,
+    max_noise_frac: Option<f64>,
     outcome: &ssn_core::optimize::OptimizeOutcome,
-) -> Result<Vec<u8>, ApiError> {
-    let ApiRequest::Optimize {
-        sc,
-        max_drivers,
-        l_points,
-        c_points,
-        tr_points,
-        span,
-        objective,
-        max_noise_frac,
-    } = req
-    else {
-        return Err(ApiError {
-            status: 500,
-            kind: "internal",
-            detail: "render_optimize on a non-optimize request".into(),
-        });
-    };
+) -> Vec<u8> {
+    let [max_drivers, l_points, c_points, tr_points] = axes;
     let members: Vec<String> = outcome
         .front
         .members()
@@ -954,14 +915,14 @@ fn render_optimize(
         .collect();
     let o = sc
         .render_into(Obj::new().str("endpoint", "optimize"))
-        .u64("max_drivers", *max_drivers as u64)
-        .u64("l_points", *l_points as u64)
-        .u64("c_points", *c_points as u64)
-        .u64("tr_points", *tr_points as u64)
-        .f64("span", *span)
+        .u64("max_drivers", max_drivers as u64)
+        .u64("l_points", l_points as u64)
+        .u64("c_points", c_points as u64)
+        .u64("tr_points", tr_points as u64)
+        .f64("span", span)
         .str("objective", objective.name());
     let o = match max_noise_frac {
-        Some(f) => o.f64("max_noise_frac", *f),
+        Some(f) => o.f64("max_noise_frac", f),
         None => o,
     };
     let body = o
@@ -974,7 +935,7 @@ fn render_optimize(
         .u64("front_size", outcome.front.len() as u64)
         .raw("front", &json::array(&members))
         .finish();
-    Ok(body.into_bytes())
+    body.into_bytes()
 }
 
 /// Renders a job digest as the service's job-id / cache-key hex form.

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Panic-site audit: counts unwrap()/expect()/panic!-family call sites in
-# NON-TEST library code and fails when any file exceeds its checked-in
-# baseline (scripts/panic_baseline.txt). New panic sites in production code
-# must either be converted to typed errors or deliberately admitted by
-# regenerating the baseline:
+# NON-TEST library code and compares them with the checked-in baseline
+# (scripts/panic_baseline.txt). It is a ratchet: it fails when any file
+# exceeds its baseline, and also when the baseline is stale — an entry
+# above the current count, or naming a file that no longer exists — so a
+# removed panic site can never be silently re-added later. New panic
+# sites in production code must either be converted to typed errors or
+# deliberately admitted, and removed ones locked in, by regenerating the
+# baseline:
 #
 #   ./scripts/panic_audit.sh            # audit against the baseline
 #   ./scripts/panic_audit.sh --update   # rewrite the baseline
@@ -48,7 +52,7 @@ status=0
 current=$(audit)
 while IFS=' ' read -r f n; do
     [ -z "$f" ] && continue
-    base=$(grep -F "$f " "$BASELINE" | awk '{print $2}' || true)
+    base=$(awk -v f="$f" '$1 == f {print $2}' "$BASELINE")
     base=${base:-0}
     if [ "$n" -gt "$base" ]; then
         echo "panic_audit: $f has $n non-test panic sites (baseline $base)" >&2
@@ -61,4 +65,23 @@ if [ "$status" -ne 0 ]; then
     echo "             or run ./scripts/panic_audit.sh --update to admit them." >&2
     exit 1
 fi
-echo "panic_audit: ok (no file exceeds its baseline)"
+
+while IFS=' ' read -r f base; do
+    [ -z "$f" ] && continue
+    n=$(awk -v f="$f" '$1 == f {print $2}' <<< "$current")
+    n=${n:-0}
+    if [ ! -f "$f" ]; then
+        echo "panic_audit: baseline names $f, which no longer exists" >&2
+        status=1
+    elif [ "$n" -lt "$base" ]; then
+        echo "panic_audit: $f has $n non-test panic sites, below its baseline $base" >&2
+        status=1
+    fi
+done < "$BASELINE"
+
+if [ "$status" -ne 0 ]; then
+    echo "panic_audit: FAILED — the baseline is stale; run" >&2
+    echo "             ./scripts/panic_audit.sh --update to lock in the lower counts." >&2
+    exit 1
+fi
+echo "panic_audit: ok (every file matches its baseline)"

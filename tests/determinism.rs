@@ -209,6 +209,13 @@ fn telemetry_on_and_off_are_bit_identical_at_every_thread_count() {
             "missing mc.run span at {threads} threads: {report:?}"
         );
         assert!(
+            report
+                .spans
+                .iter()
+                .any(|sp| sp.path.ends_with("mc.run.mc.collect")),
+            "missing mc.collect span under mc.run at {threads} threads: {report:?}"
+        );
+        assert!(
             report.spans.iter().any(|sp| sp.path.ends_with("grid.run")),
             "missing grid.run span at {threads} threads: {report:?}"
         );

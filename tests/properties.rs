@@ -1000,7 +1000,8 @@ fn tightening_the_noise_cap_is_monotone() {
 /// same order, same pinned reduction, hence the same bits.
 #[test]
 fn batched_monte_carlo_moments_match_scalar_bitwise() {
-    use ssn_lab::core::montecarlo::{run_monte_carlo_with_path, McPath, VariationSpec};
+    use ssn_lab::core::durable::DurableOptions;
+    use ssn_lab::core::montecarlo::{run_monte_carlo_durable_with_path, McPath, VariationSpec};
     use ssn_lab::core::parallel::ExecPolicy;
 
     forall("batched MC moments == scalar MC moments", 16, |g| {
@@ -1009,8 +1010,16 @@ fn batched_monte_carlo_moments_match_scalar_bitwise() {
         let seed = g.usize_in(0, 1 << 20) as u64;
         let n = g.usize_in(1, 700);
         let run = |path| {
-            run_monte_carlo_with_path(&s, &spec, n, seed, &ExecPolicy::serial(), path)
-                .map(|(mc, _)| mc)
+            run_monte_carlo_durable_with_path(
+                &s,
+                &spec,
+                n,
+                seed,
+                &ExecPolicy::serial(),
+                &DurableOptions::none(),
+                path,
+            )
+            .map(|(mc, _, _)| mc)
         };
         let (scalar, batched) = match (run(McPath::Scalar), run(McPath::Batched)) {
             (Ok(a), Ok(b)) => (a, b),

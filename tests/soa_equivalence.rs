@@ -9,7 +9,10 @@
 //! statistics (mean / sd / quantiles), which are themselves pinned to a
 //! fixed reduction order.
 
-use ssn_lab::core::montecarlo::{run_monte_carlo_with_path, McPath, VariationSpec, MC_CHUNK};
+use ssn_lab::core::durable::DurableOptions;
+use ssn_lab::core::montecarlo::{
+    run_monte_carlo_durable_with_path, McPath, VariationSpec, MC_CHUNK,
+};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::devices::Asdm;
@@ -60,17 +63,25 @@ fn check_model(model: &str, c: Farads) {
     let s = scenario(c);
     let spec = VariationSpec::typical();
     for n in ragged_counts() {
-        let (scalar, _) =
-            run_monte_carlo_with_path(&s, &spec, n, 42, &ExecPolicy::serial(), McPath::Scalar)
-                .expect("scalar reference");
+        let (scalar, _, _) = run_monte_carlo_durable_with_path(
+            &s,
+            &spec,
+            n,
+            42,
+            &ExecPolicy::serial(),
+            &DurableOptions::none(),
+            McPath::Scalar,
+        )
+        .expect("scalar reference");
         assert_eq!(scalar.len(), n);
         for threads in THREAD_MATRIX {
-            let (batched, stats) = run_monte_carlo_with_path(
+            let (batched, stats, _) = run_monte_carlo_durable_with_path(
                 &s,
                 &spec,
                 n,
                 42,
                 &ExecPolicy::with_threads(threads),
+                &DurableOptions::none(),
                 McPath::Batched,
             )
             .expect("batched run");
@@ -118,16 +129,24 @@ fn scalar_path_is_itself_thread_invariant() {
     let s = scenario(Farads::from_picos(1.0));
     let spec = VariationSpec::typical();
     let n = 2 * MC_CHUNK + 7;
-    let (serial, _) =
-        run_monte_carlo_with_path(&s, &spec, n, 9, &ExecPolicy::serial(), McPath::Scalar)
-            .expect("serial");
+    let (serial, _, _) = run_monte_carlo_durable_with_path(
+        &s,
+        &spec,
+        n,
+        9,
+        &ExecPolicy::serial(),
+        &DurableOptions::none(),
+        McPath::Scalar,
+    )
+    .expect("serial");
     for threads in [2, 8] {
-        let (par, _) = run_monte_carlo_with_path(
+        let (par, _, _) = run_monte_carlo_durable_with_path(
             &s,
             &spec,
             n,
             9,
             &ExecPolicy::with_threads(threads),
+            &DurableOptions::none(),
             McPath::Scalar,
         )
         .expect("parallel scalar");
@@ -146,9 +165,17 @@ fn batched_path_remains_seed_sensitive() {
     let s = scenario(Farads::from_picos(1.0));
     let spec = VariationSpec::typical();
     let run = |seed| {
-        run_monte_carlo_with_path(&s, &spec, 200, seed, &ExecPolicy::serial(), McPath::Batched)
-            .expect("run")
-            .0
+        run_monte_carlo_durable_with_path(
+            &s,
+            &spec,
+            200,
+            seed,
+            &ExecPolicy::serial(),
+            &DurableOptions::none(),
+            McPath::Batched,
+        )
+        .expect("run")
+        .0
     };
     assert_ne!(run(1).samples(), run(2).samples());
     assert!(
