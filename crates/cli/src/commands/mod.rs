@@ -151,16 +151,44 @@ pub(crate) fn exec_policy(args: &ParsedArgs, faults: &Faults) -> Result<ExecPoli
     Ok(policy.with_faults(faults.clone()))
 }
 
+/// Writes `header` and `rows` as right-aligned columns two spaces apart,
+/// each column as wide as its widest cell.
+pub(crate) fn write_aligned<W: Write, S: AsRef<str>, R: AsRef<[String]>>(
+    out: &mut W,
+    header: &[S],
+    rows: &[R],
+) -> std::io::Result<()> {
+    let widths: Vec<usize> = header
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            rows.iter()
+                .map(|r| r.as_ref()[i].len())
+                .fold(h.as_ref().len(), usize::max)
+        })
+        .collect();
+    let mut line = |cells: Vec<&str>| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        writeln!(out, "{}", padded.join("  "))
+    };
+    line(header.iter().map(AsRef::as_ref).collect())?;
+    for r in rows {
+        line(r.as_ref().iter().map(String::as_str).collect())?;
+    }
+    Ok(())
+}
+
 /// Resolves a `--process` name to a library process.
 pub(crate) fn resolve_process(name: &str) -> Result<Process, CliError> {
-    match name {
-        "p018" | "0.18" | "018" => Ok(Process::p018()),
-        "p025" | "0.25" | "025" => Ok(Process::p025()),
-        "p035" | "0.35" | "035" => Ok(Process::p035()),
-        other => Err(CliError::usage(format!(
-            "unknown process {other:?} (expected p018, p025 or p035)"
-        ))),
-    }
+    Process::from_name(name).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown process {name:?} (expected p018, p025 or p035)"
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -203,9 +231,20 @@ mod tests {
 
     #[test]
     fn process_aliases() {
-        assert_eq!(resolve_process("p018").unwrap().name(), "p018");
-        assert_eq!(resolve_process("0.25").unwrap().name(), "p025");
-        assert_eq!(resolve_process("035").unwrap().name(), "p035");
-        assert!(resolve_process("p090").is_err());
+        for (canonical, aliases) in [
+            ("p018", ["p018", "0.18", "018"]),
+            ("p025", ["p025", "0.25", "025"]),
+            ("p035", ["p035", "0.35", "035"]),
+        ] {
+            for alias in aliases {
+                assert_eq!(resolve_process(alias).unwrap().name(), canonical);
+            }
+        }
+        let e = resolve_process("p090").unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("unknown process \"p090\" (expected p018, p025 or p035)"),
+            "{e}"
+        );
     }
 }

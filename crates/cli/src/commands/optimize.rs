@@ -2,7 +2,8 @@
 //! search over the `(N, L, C, tr)` space (DESIGN.md §14).
 
 use super::{
-    durable_options, exec_policy, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP,
+    durable_options, exec_policy, resolve_process, with_telemetry, write_aligned, TelemetryMode,
+    DURABLE_HELP,
 };
 use crate::args::ParsedArgs;
 use crate::error::CliError;
@@ -174,28 +175,7 @@ fn render_table<W: Write>(out: &mut W, outcome: &OptimizeOutcome) -> Result<(), 
             ]
         })
         .collect();
-    let widths: Vec<usize> = (0..header.len())
-        .map(|i| {
-            rows.iter()
-                .map(|r| r[i].len())
-                .chain([header[i].len()])
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let fmt = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let head: Vec<String> = header.iter().map(|s| (*s).to_owned()).collect();
-    writeln!(out, "{}", fmt(&head))?;
-    for r in &rows {
-        writeln!(out, "{}", fmt(r))?;
-    }
+    write_aligned(out, &header, &rows)?;
     writeln!(
         out,
         "front: {} member(s); {} of {} point(s) evaluated over {} level(s) \

@@ -1,7 +1,8 @@
 //! `ssn sweep` — maximum SSN vs. driver count, with the prior models.
 
 use super::{
-    durable_options, exec_policy, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP,
+    durable_options, exec_policy, resolve_process, with_telemetry, write_aligned, TelemetryMode,
+    DURABLE_HELP,
 };
 use crate::args::ParsedArgs;
 use crate::error::CliError;
@@ -201,28 +202,7 @@ pub fn run<W: Write>(argv: &[String], faults: &Faults, out: &mut W) -> Result<()
             durability.note_degrade(DegradeStep::ClosedFormOnly, max_n, full_rows);
         }
 
-        // Render aligned.
-        let widths: Vec<usize> = (0..header.len())
-            .map(|i| {
-                rows.iter()
-                    .map(|r| r[i].len())
-                    .chain([header[i].len()])
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let fmt = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        writeln!(out, "{}", fmt(&header))?;
-        for r in &rows {
-            writeln!(out, "{}", fmt(r))?;
-        }
+        write_aligned(out, &header, &rows)?;
         write!(out, "{}", run_footer(&stats, &durability))?;
 
         if let Some(path) = args.value("csv") {

@@ -806,17 +806,6 @@ impl CheckpointStore {
             io.fsync_dir(dir)
         })
     }
-
-    /// Fault-injection support: deliberately writes only the first half of
-    /// the serialized journal *directly* to the final path — the on-disk
-    /// image a kill inside a non-atomic write would leave. Exists so tests
-    /// and the CI gate can prove [`CheckpointStore::load`] rejects torn
-    /// journals instead of trusting them.
-    pub fn commit_torn(&self, elapsed: Duration) -> Result<(), SsnError> {
-        let bytes = self.serialize(elapsed);
-        let half = &bytes[..bytes.len() / 2];
-        std::fs::write(&self.path, half).map_err(|e| io_err(&self.path, "torn write", &e))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1209,13 +1198,11 @@ where
     struct StoreCell {
         store: Option<CheckpointStore>,
         commits: usize,
-        commit_error: Option<SsnError>,
         degraded: Option<CheckpointDegraded>,
     }
     let cell = Mutex::new(StoreCell {
         store,
         commits: 0,
-        commit_error: None,
         degraded: early_degrade.map(|detail| CheckpointDegraded {
             committed_chunks: 0,
             total_chunks: n_chunks,
@@ -1250,8 +1237,7 @@ where
                 if !crashed.load(Ordering::SeqCst) {
                     let elapsed = prior_elapsed + started.elapsed();
                     let commits_after = guard.commits + 1;
-                    let tear = crash.is_some_and(|(after, torn)| commits_after == after && torn);
-                    let die = crash.is_some_and(|(after, _)| commits_after >= after);
+                    let die = crash.is_some_and(|after| commits_after >= after);
                     enum CommitOutcome {
                         /// No store: the run is already degraded to
                         /// un-checkpointed, so there is nothing to commit.
@@ -1260,7 +1246,6 @@ where
                         /// The simulated power cut fired mid-commit: the
                         /// process is dead, exactly like a crash-plan kill.
                         PowerCut,
-                        TornFailed(SsnError),
                         /// Persistent storage failure (ENOSPC, exhausted
                         /// retries): worth degrading over, not dying over.
                         Persistent(std::io::Error),
@@ -1269,22 +1254,15 @@ where
                         None => CommitOutcome::Skipped,
                         Some(st) => {
                             st.record(c, payload);
-                            if tear {
-                                match st.commit_torn(elapsed) {
-                                    Ok(()) => CommitOutcome::Committed,
-                                    Err(e) => CommitOutcome::TornFailed(e),
+                            match st.commit_io(elapsed, faults) {
+                                Ok(()) => CommitOutcome::Committed,
+                                Err(e)
+                                    if storage::injected_fault(&e)
+                                        == Some(storage::InjectedFaultKind::Killed) =>
+                                {
+                                    CommitOutcome::PowerCut
                                 }
-                            } else {
-                                match st.commit_io(elapsed, faults) {
-                                    Ok(()) => CommitOutcome::Committed,
-                                    Err(e)
-                                        if storage::injected_fault(&e)
-                                            == Some(storage::InjectedFaultKind::Killed) =>
-                                    {
-                                        CommitOutcome::PowerCut
-                                    }
-                                    Err(e) => CommitOutcome::Persistent(e),
-                                }
+                                Err(e) => CommitOutcome::Persistent(e),
                             }
                         }
                     };
@@ -1301,14 +1279,6 @@ where
                             }
                         }
                         CommitOutcome::PowerCut => {
-                            crashed.store(true, Ordering::SeqCst);
-                            opts.budget.cancel();
-                            return Ok(None);
-                        }
-                        CommitOutcome::TornFailed(e) => {
-                            if guard.commit_error.is_none() {
-                                guard.commit_error = Some(e);
-                            }
                             crashed.store(true, Ordering::SeqCst);
                             opts.budget.cancel();
                             return Ok(None);
@@ -1339,9 +1309,6 @@ where
     });
 
     let cell = cell.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some(e) = cell.commit_error {
-        return Err(e);
-    }
     if crashed.load(Ordering::SeqCst) {
         return Err(SsnError::Interrupted {
             committed_chunks: resumed_count + cell.commits,

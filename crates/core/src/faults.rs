@@ -7,9 +7,9 @@
 //! | site             | knobs                                            | keyed by          |
 //! |------------------|--------------------------------------------------|-------------------|
 //! | model outputs    | `nan`                                            | Monte Carlo sample |
-//! | parallel workers | `chunk_panic`, `panic_once`                      | chunk index       |
+//! | parallel workers | `chunk_panic`                                    | chunk index       |
 //! | solver ladder    | `solver_rungs`                                   | (a rung bitmask)  |
-//! | durable runs     | `crash_after_commits`, `crash_torn`              | (a commit count)  |
+//! | durable runs     | `crash_after_commits`                            | (a commit count)  |
 //! | storage          | `enospc`, `eio`, `fsync`, `torn_write`, `kill_at`| storage op index  |
 //! | network          | `torn_body`, `disconnect`, `handler_panic`       | connection serial |
 //!
@@ -19,9 +19,8 @@
 //! plan injects the same faults at any thread count.
 //!
 //! A plan does nothing until it is armed for a run. [`Faults::arm`] pairs it
-//! with the run's own mutable state: the storage op counter, the
-//! simulated-death latch, and the chunks that already panicked under
-//! `panic_once`. The handle travels with the run — inside
+//! with the run's own mutable state: the storage op counter and the
+//! simulated-death latch. The handle travels with the run — inside
 //! [`crate::parallel::ExecPolicy`] for the parallel engine and the durable
 //! runner, inside the server's shared state for its connection and job
 //! threads — so two runs in one process never see each other's faults.
@@ -32,9 +31,8 @@
 //! (grammar at [`FaultPlan::parse`]); a malformed spec is an error, never a
 //! silently fault-free drill.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything to inject, and how often. All knobs default to off.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -45,9 +43,6 @@ pub struct FaultPlan {
     pub nan: f64,
     /// Probability that a parallel chunk panics, per chunk.
     pub chunk_panic: f64,
-    /// Each chunk panics at most once, so a retried chunk succeeds — how
-    /// the retry budget is tested.
-    pub panic_once: bool,
     /// Rungs of the solver fallback ladder to force-fail, as a
     /// `ssn_numeric::solve::rung` bitmask.
     pub solver_rungs: u8,
@@ -55,9 +50,6 @@ pub struct FaultPlan {
     /// commits the run stops scheduling work and returns
     /// `SsnError::Interrupted`.
     pub crash_after_commits: Option<usize>,
-    /// When the crash fires, also tear the last commit: the journal on disk
-    /// is cut mid-record. Resume must reject it, never trust it.
-    pub crash_torn: bool,
     /// Probability a write-class storage op fails with ENOSPC (persistent:
     /// never retried; the caller degrades).
     pub enospc: f64,
@@ -98,8 +90,8 @@ impl std::error::Error for FaultSpecError {}
 impl FaultPlan {
     /// Parses the `SSN_FAULTS` grammar: comma-separated `key=value` fields,
     /// any order, all optional. The keys are the field names of this type;
-    /// probabilities lie in `[0, 1]`, `panic_once`/`crash_torn` take `0` or
-    /// `1`, and `seed`/`solver_rungs`/`crash_after_commits`/`kill_at` take
+    /// probabilities lie in `[0, 1]`, and
+    /// `seed`/`solver_rungs`/`crash_after_commits`/`kill_at` take
     /// non-negative integers. Empty text is the inert plan. Anything else —
     /// an unknown key, a missing `=`, an out-of-range value — is an error.
     pub fn parse(text: &str) -> Result<Self, FaultSpecError> {
@@ -113,10 +105,8 @@ impl FaultPlan {
                 "seed" => plan.seed = number(key, value)?,
                 "nan" => plan.nan = probability(key, value)?,
                 "chunk_panic" => plan.chunk_panic = probability(key, value)?,
-                "panic_once" => plan.panic_once = flag(key, value)?,
                 "solver_rungs" => plan.solver_rungs = number(key, value)?,
                 "crash_after_commits" => plan.crash_after_commits = Some(number(key, value)?),
-                "crash_torn" => plan.crash_torn = flag(key, value)?,
                 "enospc" => plan.enospc = probability(key, value)?,
                 "eio" => plan.eio = probability(key, value)?,
                 "fsync" => plan.fsync = probability(key, value)?,
@@ -148,14 +138,6 @@ fn probability(key: &str, value: &str) -> Result<f64, FaultSpecError> {
         _ => Err(spec_err(format!(
             "{key}={value:?} is not a probability in [0, 1]"
         ))),
-    }
-}
-
-fn flag(key: &str, value: &str) -> Result<bool, FaultSpecError> {
-    match value {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(spec_err(format!("{key}={value:?} is not 0 or 1"))),
     }
 }
 
@@ -197,8 +179,6 @@ pub(crate) struct Armed {
     pub(crate) disk_ops: AtomicU64,
     /// Set once `kill_at` fires: the simulated process is dead.
     pub(crate) dead: AtomicBool,
-    /// Chunks that already panicked, for `panic_once`.
-    fired_chunks: Mutex<HashSet<usize>>,
 }
 
 /// The run-scoped fault plane: disarmed ([`Faults::none`]) or one armed
@@ -227,14 +207,12 @@ impl Faults {
         Self(None)
     }
 
-    /// Arms `plan` with fresh run state (op counter at 0, nobody dead,
-    /// no chunk fired yet).
+    /// Arms `plan` with fresh run state (op counter at 0, nobody dead).
     pub fn arm(plan: FaultPlan) -> Self {
         Self(Some(Arc::new(Armed {
             plan,
             disk_ops: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            fired_chunks: Mutex::new(HashSet::new()),
         })))
     }
 
@@ -265,20 +243,9 @@ impl Faults {
     }
 
     /// Worker site: panics at the top of chunk `chunk` when the plan says
-    /// so. Under `panic_once` a chunk's second attempt goes through.
+    /// so.
     pub(crate) fn chunk_panic(&self, chunk: usize) {
-        let Some(armed) = self.armed() else { return };
-        if !self.fires(site::CHUNK_PANIC, chunk as u64, |p| p.chunk_panic) {
-            return;
-        }
-        // `insert` is false when the chunk already fired.
-        if !armed.plan.panic_once
-            || armed
-                .fired_chunks
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(chunk)
-        {
+        if self.fires(site::CHUNK_PANIC, chunk as u64, |p| p.chunk_panic) {
             panic!("injected fault: worker panic in chunk {chunk}");
         }
     }
@@ -289,11 +256,10 @@ impl Faults {
         self.plan().map_or(0, |p| p.solver_rungs)
     }
 
-    /// Durable-run site: `(crash_after_commits, crash_torn)`, or `None`
-    /// when no crash is planned.
-    pub(crate) fn crash(&self) -> Option<(usize, bool)> {
-        self.plan()
-            .and_then(|p| p.crash_after_commits.map(|after| (after, p.crash_torn)))
+    /// Durable-run site: `crash_after_commits`, or `None` when no crash is
+    /// planned.
+    pub(crate) fn crash(&self) -> Option<usize> {
+        self.plan().and_then(|p| p.crash_after_commits)
     }
 
     /// Storage operations this plane has gated so far (the crash sweep
@@ -383,8 +349,8 @@ mod tests {
     #[test]
     fn parses_the_one_grammar_and_rejects_everything_else() {
         let p = FaultPlan::parse(
-            "seed=9, nan=0.5,chunk_panic=1,panic_once=1,solver_rungs=3,crash_after_commits=2,\
-             crash_torn=1,enospc=0.25,eio=0.5,fsync=1,torn_write=0.1,kill_at=7,torn_body=0.2,\
+            "seed=9, nan=0.5,chunk_panic=1,solver_rungs=3,crash_after_commits=2,\
+             enospc=0.25,eio=0.5,fsync=1,torn_write=0.1,kill_at=7,torn_body=0.2,\
              disconnect=0.3,handler_panic=0.05",
         )
         .unwrap();
@@ -394,10 +360,8 @@ mod tests {
                 seed: 9,
                 nan: 0.5,
                 chunk_panic: 1.0,
-                panic_once: true,
                 solver_rungs: 3,
                 crash_after_commits: Some(2),
-                crash_torn: true,
                 enospc: 0.25,
                 eio: 0.5,
                 fsync: 1.0,
@@ -416,7 +380,8 @@ mod tests {
             "eio=2",
             "zebra=1",
             "eio",
-            "panic_once=yes",
+            "panic_once=1",
+            "crash_torn=1",
             "kill_at=-1",
             "seed=x",
         ] {
@@ -464,34 +429,25 @@ mod tests {
     }
 
     #[test]
-    fn panic_once_is_per_run_state() {
+    fn crash_plan_is_read_from_each_armed_run() {
         let plan = FaultPlan {
-            seed: 7,
-            chunk_panic: 1.0,
-            panic_once: true,
+            crash_after_commits: Some(3),
             ..FaultPlan::default()
         };
         let run = Faults::arm(plan);
-        let shared = run.clone();
-        assert!(std::panic::catch_unwind(|| run.chunk_panic(5)).is_err());
-        assert!(
-            std::panic::catch_unwind(|| shared.chunk_panic(5)).is_ok(),
-            "a clone shares the run's fired set"
-        );
-        // A second run of the same plan starts with its own state.
-        let next = Faults::arm(plan);
-        assert!(std::panic::catch_unwind(|| next.chunk_panic(5)).is_err());
-        assert_ne!(run, next);
-    }
-
-    #[test]
-    fn crash_plan_reads_both_knobs() {
-        let plan = FaultPlan {
-            crash_after_commits: Some(3),
-            crash_torn: true,
-            ..FaultPlan::default()
-        };
-        assert_eq!(Faults::arm(plan).crash(), Some((3, true)));
+        assert_eq!(run.crash(), Some(3));
         assert_eq!(Faults::arm(FaultPlan::default()).crash(), None);
+        // A clone shares the run's state; a second arm of the same plan is
+        // a distinct run that starts clean.
+        let shared = run.clone();
+        run.armed()
+            .expect("armed")
+            .dead
+            .store(true, Ordering::SeqCst);
+        assert!(shared.dead());
+        let next = Faults::arm(plan);
+        assert!(!next.dead());
+        assert_eq!(run, shared);
+        assert_ne!(run, next);
     }
 }

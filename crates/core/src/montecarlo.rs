@@ -155,13 +155,6 @@ pub struct Histogram {
     pub counts: Vec<usize>,
 }
 
-impl Histogram {
-    /// Width of one bin (volts); zero when all samples coincide.
-    pub fn bin_width(&self) -> Volts {
-        Volts::new((self.hi.value() - self.lo.value()) / self.counts.len() as f64)
-    }
-}
-
 /// The sampled distribution of the maximum SSN voltage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct McResult {
@@ -776,7 +769,7 @@ mod tests {
         // Degenerate histogram: everything in one bin.
         let h = r.histogram(4);
         assert_eq!(h.counts, vec![50, 0, 0, 0]);
-        assert_eq!(h.bin_width(), Volts::ZERO);
+        assert_eq!(h.lo, h.hi);
     }
 
     #[test]
@@ -804,7 +797,6 @@ mod tests {
         assert_eq!(h.counts.iter().sum::<usize>(), 1000);
         assert_eq!(h.counts.len(), 20);
         assert!(h.lo < h.hi);
-        assert!(h.bin_width() > Volts::ZERO);
         // Ends of the range hold the min/max samples.
         assert!(h.counts[0] >= 1);
         assert!(h.counts[19] >= 1);

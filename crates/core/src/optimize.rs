@@ -721,7 +721,6 @@ fn merge_stats(total: &mut ExecStats, level: &ExecStats) {
     total.items += level.items;
     total.chunks += level.chunks;
     total.failed_chunks += level.failed_chunks;
-    total.retried_chunks += level.retried_chunks;
     total.sched_wait += level.sched_wait;
     total.checkpointed_chunks += level.checkpointed_chunks;
     total.elapsed_wall += level.elapsed_wall;
@@ -735,7 +734,6 @@ fn zero_stats(policy: &ExecPolicy) -> ExecStats {
         items: 0,
         chunks: 0,
         failed_chunks: 0,
-        retried_chunks: 0,
         sched_wait: Duration::ZERO,
         checkpointed_chunks: 0,
         elapsed_wall: Duration::ZERO,
@@ -1032,6 +1030,29 @@ pub fn search_durable(
 /// The journal path of refinement level `level` under base path `p`.
 pub fn level_journal_path(p: &std::path::Path, level: u32) -> PathBuf {
     PathBuf::from(format!("{}.lv{level}", p.display()))
+}
+
+/// Every journal a durable run with base path `journal` may have left: the
+/// base path itself (single-journal workloads) and each existing
+/// [`level_journal_path`] sibling (multi-level searches).
+pub fn journal_family(journal: &std::path::Path) -> Vec<PathBuf> {
+    let mut family = vec![journal.to_path_buf()];
+    let (Some(dir), Some(name)) = (journal.parent(), journal.file_name()) else {
+        return family;
+    };
+    let prefix = format!("{}.lv", name.to_string_lossy());
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return family;
+    };
+    for entry in entries.flatten() {
+        let file = entry.file_name();
+        if let Some(rest) = file.to_string_lossy().strip_prefix(&prefix) {
+            if !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()) {
+                family.push(dir.join(file));
+            }
+        }
+    }
+    family
 }
 
 /// Exact Pareto-dominance index of one search: 2-D prefix minima of

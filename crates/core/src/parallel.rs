@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPolicy {
     threads: usize,
-    chunk_retries: usize,
     faults: Faults,
 }
 
@@ -54,7 +53,6 @@ impl ExecPolicy {
     fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            chunk_retries: 0,
             faults: Faults::none(),
         }
     }
@@ -74,18 +72,10 @@ impl ExecPolicy {
         Self::new(threads)
     }
 
-    /// Allows each panicked chunk to be re-evaluated up to `retries` extra
-    /// times before it is recorded as failed. The default is 0 — a chunk
-    /// gets exactly one attempt, the engine's historical behavior.
-    pub fn with_chunk_retries(mut self, retries: usize) -> Self {
-        self.chunk_retries = retries;
-        self
-    }
-
     /// Runs under `faults` (see [`crate::faults`]). Runs made with this
     /// policy and its clones share the plane's state — its storage op
-    /// counter, death latch and `panic_once` set — so arm a fresh plane
-    /// per run that should start clean. The default is disarmed.
+    /// counter and death latch — so arm a fresh plane per run that should
+    /// start clean. The default is disarmed.
     pub fn with_faults(mut self, faults: Faults) -> Self {
         self.faults = faults;
         self
@@ -94,11 +84,6 @@ impl ExecPolicy {
     /// The worker count this policy resolves to.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Extra attempts allowed per panicked chunk.
-    pub fn chunk_retries(&self) -> usize {
-        self.chunk_retries
     }
 
     /// The run's fault plane.
@@ -126,13 +111,9 @@ pub struct ExecStats {
     pub items: usize,
     /// Work-queue chunks the items were split into.
     pub chunks: usize,
-    /// Chunks that panicked past their retry budget and were recorded as
-    /// [`ChunkError`]s (always 0 for the panicking [`run_chunked`] path).
+    /// Chunks that panicked and were recorded as [`ChunkError`]s (always 0
+    /// for the panicking [`run_chunked`] path).
     pub failed_chunks: usize,
-    /// Chunks that panicked at least once but were re-attempted under
-    /// [`ExecPolicy::with_chunk_retries`] (whether or not they eventually
-    /// succeeded).
-    pub retried_chunks: usize,
     /// Time the workers spent *off* compute — claiming chunks from the
     /// queue, writing result slots, loop bookkeeping — summed over all
     /// workers. `busy + sched_wait` is each worker's in-loop time, so a
@@ -195,9 +176,6 @@ impl std::fmt::Display for ExecStats {
         if self.failed_chunks > 0 {
             write!(f, ", {} failed chunk(s)", self.failed_chunks)?;
         }
-        if self.retried_chunks > 0 {
-            write!(f, ", {} retried chunk(s)", self.retried_chunks)?;
-        }
         // Durable-run fields render only when a resume actually happened,
         // so the line is unchanged for every pre-existing caller.
         if self.checkpointed_chunks > 0 {
@@ -214,8 +192,8 @@ impl std::fmt::Display for ExecStats {
     }
 }
 
-/// One chunk's failure: the worker evaluating it panicked (past any retry
-/// budget). The remaining chunks are unaffected.
+/// One chunk's failure: the worker evaluating it panicked. The remaining
+/// chunks are unaffected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkError {
     /// Index of the failed chunk.
@@ -297,9 +275,9 @@ where
 ///
 /// Each chunk evaluation runs under [`std::panic::catch_unwind`]: a chunk
 /// that panics yields `Err(`[`ChunkError`]`)` in its slot while every other
-/// chunk completes normally. [`ExecStats::failed_chunks`] counts the
-/// failures and [`ExecStats::retried_chunks`] the chunks that consumed
-/// retry budget ([`ExecPolicy::with_chunk_retries`]).
+/// chunk completes normally, and [`ExecStats::failed_chunks`] counts the
+/// failures. Chunks are pure, so a panic would recur on a second attempt:
+/// none is made.
 ///
 /// When nothing panics, the results — and the evaluation order — are
 /// identical to [`run_chunked`], bit for bit.
@@ -317,34 +295,15 @@ where
     let n_chunks = ranges.len();
     let workers = policy.threads().min(n_chunks.max(1));
     let started = Instant::now();
-    let retried = AtomicUsize::new(0);
 
     let attempt = |c: usize, r: Range<usize>| -> Result<T, ChunkError> {
-        let mut tries = 0usize;
-        loop {
-            match std::panic::catch_unwind(AssertUnwindSafe(|| eval(c, r.clone()))) {
-                Ok(v) => {
-                    if tries > 0 {
-                        retried.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(v);
-                }
-                Err(payload) => {
-                    if tries < policy.chunk_retries() {
-                        tries += 1;
-                        continue;
-                    }
-                    if tries > 0 {
-                        retried.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Err(ChunkError {
-                        chunk: c,
-                        range: r,
-                        message: panic_message(payload),
-                    });
-                }
+        std::panic::catch_unwind(AssertUnwindSafe(|| eval(c, r.clone()))).map_err(|payload| {
+            ChunkError {
+                chunk: c,
+                range: r,
+                message: panic_message(payload),
             }
-        }
+        })
     };
 
     let (results, busy, sched_wait) = if workers <= 1 {
@@ -421,7 +380,6 @@ where
         items: n_items,
         chunks: n_chunks,
         failed_chunks: results.iter().filter(|r| r.is_err()).count(),
-        retried_chunks: retried.load(Ordering::Relaxed),
         sched_wait,
         checkpointed_chunks: 0,
         elapsed_wall: wall,
@@ -533,7 +491,6 @@ mod tests {
             items: 100,
             chunks: 10,
             failed_chunks: 0,
-            retried_chunks: 0,
             sched_wait: Duration::ZERO,
             checkpointed_chunks: 0,
             elapsed_wall: wall,
@@ -652,7 +609,6 @@ mod tests {
                     });
                 assert_eq!(results.len(), 10);
                 assert_eq!(stats.failed_chunks, 1);
-                assert_eq!(stats.retried_chunks, 0);
                 for (c, r) in results.iter().enumerate() {
                     if c == 3 {
                         let e = r.as_ref().unwrap_err();
@@ -665,40 +621,6 @@ mod tests {
                     }
                 }
             }
-        });
-    }
-
-    #[test]
-    fn retry_budget_rescues_transient_panics() {
-        use std::sync::atomic::AtomicBool;
-        quiet_panics(|| {
-            let fired = AtomicBool::new(false);
-            let policy = ExecPolicy::serial().with_chunk_retries(1);
-            let (results, stats) = try_run_chunked(40, 10, &policy, |c, range| {
-                if c == 2 && !fired.swap(true, Ordering::SeqCst) {
-                    panic!("transient");
-                }
-                range.len()
-            });
-            assert!(results.iter().all(|r| r.is_ok()));
-            assert_eq!(stats.failed_chunks, 0);
-            assert_eq!(stats.retried_chunks, 1);
-        });
-    }
-
-    #[test]
-    fn persistent_panics_exhaust_the_retry_budget() {
-        quiet_panics(|| {
-            let policy = ExecPolicy::with_threads(2).with_chunk_retries(2);
-            let (results, stats) = try_run_chunked(40, 10, &policy, |c, _| {
-                if c == 1 {
-                    panic!("always");
-                }
-                c
-            });
-            assert_eq!(stats.failed_chunks, 1);
-            assert_eq!(stats.retried_chunks, 1);
-            assert!(results[1].is_err());
         });
     }
 

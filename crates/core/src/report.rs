@@ -175,7 +175,6 @@ mod tests {
             chunks: 1,
             threads: 1,
             failed_chunks: 0,
-            retried_chunks: 0,
             wall: std::time::Duration::from_millis(5),
             busy: std::time::Duration::from_millis(5),
             sched_wait: std::time::Duration::ZERO,

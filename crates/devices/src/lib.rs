@@ -12,8 +12,6 @@
 //! * [`asdm`] — the paper's **application-specific device model**: a linear
 //!   two-variable law `I_d = K (V_g - sigma * V_s - V_0)` valid in the SSN
 //!   operating region,
-//! * [`table`] — a sampled table model (monotone-cubic in `V_gs`, bilinear
-//!   blending in `V_ds`), an alternative "application-specific" device,
 //! * [`fit`] — fitting ASDM and alpha-power parameters to sampled I–V data,
 //! * [`process`] — a synthetic process library (0.18/0.25/0.35 um) with
 //!   package parasitics, replacing the proprietary TSMC decks.
@@ -44,7 +42,6 @@ pub mod fit;
 pub mod level1;
 pub mod model;
 pub mod process;
-pub mod table;
 pub mod thermal;
 
 pub use alpha_power::AlphaPower;
@@ -53,4 +50,3 @@ pub use diode::Diode;
 pub use level1::Level1;
 pub use model::{DrainCurrent, MosModel, MosPolarity};
 pub use process::Process;
-pub use table::TableModel;

@@ -137,6 +137,18 @@ impl Process {
         }
     }
 
+    /// The library process `name` refers to: its canonical name (`p018`),
+    /// its feature size in microns (`0.18`) or the bare digits (`018`).
+    /// `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "p018" | "0.18" | "018" => Some(Self::p018()),
+            "p025" | "0.25" | "025" => Some(Self::p025()),
+            "p035" | "0.35" | "035" => Some(Self::p035()),
+            _ => None,
+        }
+    }
+
     /// All library processes, finest node first.
     pub fn all() -> Vec<Self> {
         vec![Self::p018(), Self::p025(), Self::p035()]

@@ -44,18 +44,6 @@ impl Complex {
         Self { re, im: 0.0 }
     }
 
-    /// Builds from polar form `r * e^{i theta}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
-    }
-
-    /// The complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// The magnitude `|z|` (hypot, overflow-safe).
     #[inline]
     pub fn abs(self) -> f64 {
@@ -228,18 +216,16 @@ mod tests {
     }
 
     #[test]
-    fn polar_roundtrip() {
-        let z = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_3);
+    fn magnitude_and_phase() {
+        let z = Complex::new(1.0, 3f64.sqrt());
         assert!((z.abs() - 2.0).abs() < 1e-12);
         assert!((z.arg() - std::f64::consts::FRAC_PI_3).abs() < 1e-12);
     }
 
     #[test]
-    fn conjugate_and_norm() {
+    fn norm_and_reciprocal() {
         let z = Complex::new(3.0, -4.0);
-        assert_eq!(z.conj(), Complex::new(3.0, 4.0));
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!((z * z.conj()).re, 25.0);
         assert!((z.recip() * z - Complex::ONE).abs() < 1e-12);
     }
 

@@ -176,24 +176,6 @@ impl LuFactor {
         }
         det
     }
-
-    /// A cheap lower bound on the condition number: ratio of the largest to
-    /// the smallest pivot magnitude. Useful for detecting near-singular MNA
-    /// systems without the full 1-norm estimator.
-    pub fn pivot_condition(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for i in 0..self.dim() {
-            let p = self.lu[(i, i)].abs();
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
 }
 
 /// One-shot convenience: factor `a` and solve `A x = b`.
@@ -279,15 +261,6 @@ mod tests {
             let x = lu.solve(&b).unwrap();
             assert!(residual_inf(&a, &x, &b) < 1e-12);
         }
-    }
-
-    #[test]
-    fn pivot_condition_sane() {
-        let eye = LuFactor::new(&DenseMatrix::identity(3)).unwrap();
-        assert!((eye.pivot_condition() - 1.0).abs() < 1e-12);
-        let a = DenseMatrix::from_rows(&[&[1e6, 0.0], &[0.0, 1e-6]]).unwrap();
-        let lu = LuFactor::new(&a).unwrap();
-        assert!(lu.pivot_condition() > 1e11);
     }
 
     #[test]

@@ -121,17 +121,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable view of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Adds `value` to entry `(i, j)` — the fundamental MNA "stamp".
     ///
     /// # Panics
@@ -197,18 +186,6 @@ impl DenseMatrix {
             }
         }
         out
-    }
-
-    /// Maximum absolute entry (the max-norm of the matrix seen as a vector).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Induced infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -307,16 +284,15 @@ mod tests {
     }
 
     #[test]
-    fn stamp_and_norms() {
+    fn stamp_and_fill_zero() {
         let mut m = DenseMatrix::zeros(2, 2);
         m.add(0, 0, 1.0);
         m.add(0, 0, 2.0);
         m.add(1, 0, -5.0);
         assert_eq!(m[(0, 0)], 3.0);
-        assert_eq!(m.max_abs(), 5.0);
-        assert_eq!(m.norm_inf(), 5.0);
+        assert_eq!(m[(1, 0)], -5.0);
         m.fill_zero();
-        assert_eq!(m.max_abs(), 0.0);
+        assert_eq!(m, DenseMatrix::zeros(2, 2));
     }
 
     #[test]

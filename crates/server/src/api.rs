@@ -17,7 +17,7 @@
 
 use crate::json::{self, Obj};
 use ssn_core::design;
-use ssn_core::durable::{Durability, DurableOptions, ParamDigest};
+use ssn_core::durable::{Durability, DurableOptions, ParamDigest, RunBudget};
 use ssn_core::error::{CheckpointErrorKind, SsnError};
 use ssn_core::montecarlo::{run_monte_carlo_durable, VariationSpec};
 use ssn_core::optimize::{self, DesignSpace, ObjectiveSet, OptimizeOptions};
@@ -139,8 +139,8 @@ impl Params {
 /// fully resolved (defaults applied, units parsed, process canonicalized).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioParams {
-    /// Canonical process name (`p018` / `p025` / `p035`).
-    pub process: &'static str,
+    /// The library process.
+    pub process: Process,
     /// Simultaneously switching driver count.
     pub drivers: usize,
     /// Input rise time (seconds).
@@ -153,15 +153,13 @@ pub struct ScenarioParams {
 
 impl ScenarioParams {
     fn parse(p: &mut Params) -> Result<Self, ApiError> {
-        let process = match p.take("process").as_deref() {
-            None | Some("p018") | Some("0.18") | Some("018") => "p018",
-            Some("p025") | Some("0.25") | Some("025") => "p025",
-            Some("p035") | Some("0.35") | Some("035") => "p035",
-            Some(other) => {
-                return Err(ApiError::bad(format!(
-                    "parameter \"process\": unknown process {other:?} (expected p018, p025 or p035)"
-                )))
-            }
+        let process = match p.take("process") {
+            None => Process::p018(),
+            Some(name) => Process::from_name(&name).ok_or_else(|| {
+                ApiError::bad(format!(
+                    "parameter \"process\": unknown process {name:?} (expected p018, p025 or p035)"
+                ))
+            })?,
         };
         let drivers = p.parsed_or::<usize>("drivers", 8)?;
         let rise_time = p
@@ -178,22 +176,13 @@ impl ScenarioParams {
         })
     }
 
-    fn process(&self) -> Process {
-        match self.process {
-            "p025" => Process::p025(),
-            "p035" => Process::p035(),
-            _ => Process::p018(),
-        }
-    }
-
     /// Builds the validated scenario these parameters describe.
     ///
     /// # Errors
     ///
     /// 400 [`ApiError`] when the parameters are outside the model domain.
     pub fn build(&self) -> Result<SsnScenario, ApiError> {
-        let process = self.process();
-        let mut b = SsnScenario::builder(&process)
+        let mut b = SsnScenario::builder(&self.process)
             .drivers(self.drivers)
             .rise_time(Seconds::new(self.rise_time));
         if let Some(l) = self.inductance {
@@ -206,7 +195,8 @@ impl ScenarioParams {
     }
 
     fn digest_into(&self, d: &mut ParamDigest) {
-        let process_code = match self.process {
+        // Digests are job ids and cache keys: these codes never change.
+        let process_code = match self.process.name() {
             "p025" => 1u64,
             "p035" => 2,
             _ => 0,
@@ -220,7 +210,7 @@ impl ScenarioParams {
 
     fn render_into(&self, o: Obj) -> Obj {
         let o = o
-            .str("process", self.process)
+            .str("process", self.process.name())
             .u64("drivers", self.drivers as u64)
             .f64("rise_time", self.rise_time);
         let o = match self.inductance {
@@ -611,15 +601,42 @@ impl ApiRequest {
     }
 
     /// Runs the request to completion in the calling thread with no
-    /// checkpoint (the small-request path): [`ApiRequest::run_durable`]
-    /// under [`DurableOptions::none`].
+    /// checkpoint and no deadline: [`ApiRequest::run_within`] an unlimited
+    /// budget.
     ///
     /// # Errors
     ///
     /// Typed [`ApiError`] for any model/domain failure.
     pub fn run_sync(&self) -> Result<Vec<u8>, ApiError> {
-        self.run_durable(&DurableOptions::none(), &ExecPolicy::auto())
-            .map(|(bytes, _)| bytes)
+        self.run_within(&RunBudget::unlimited())
+    }
+
+    /// Runs the request in the calling thread with no checkpoint under
+    /// `budget` (the small-request path): [`ApiRequest::run_durable`] under
+    /// [`DurableOptions::none`] with that budget. A run the budget cut
+    /// short is refused like [`refuse_partial`] refuses lost chunks: the
+    /// body is the full computation or an error.
+    ///
+    /// # Errors
+    ///
+    /// 503 `deadline-exhausted` when the budget expired before the
+    /// computation finished; otherwise as [`ApiRequest::run_durable`].
+    pub fn run_within(&self, budget: &RunBudget) -> Result<Vec<u8>, ApiError> {
+        let durable = DurableOptions {
+            budget: budget.clone(),
+            ..DurableOptions::none()
+        };
+        let (bytes, durability) = self.run_durable(&durable, &ExecPolicy::auto())?;
+        if durability.deadline_hit || durability.is_fidelity_degraded() {
+            return Err(ApiError {
+                status: 503,
+                kind: "deadline-exhausted",
+                detail: "request deadline expired before the computation finished; \
+                         refusing partial data"
+                    .into(),
+            });
+        }
+        Ok(bytes)
     }
 
     /// Runs the request under the durable engine: checkpoint journal,
@@ -983,6 +1000,29 @@ mod tests {
         // Different endpoints never collide on their tag.
         let est = ApiRequest::parse(Endpoint::Estimate, pairs(&[])).unwrap();
         assert_ne!(est.digest(), implicit.digest());
+        // Every process alias digests to its process's fixed code.
+        for (code, aliases) in [
+            (0u64, ["p018", "0.18", "018"]),
+            (1, ["p025", "0.25", "025"]),
+            (2, ["p035", "0.35", "035"]),
+        ] {
+            let mut want = ParamDigest::new("serve.estimate");
+            want.push_u64(code)
+                .push_u64(8)
+                .push_f64(5e-10)
+                .push_u64(0)
+                .push_u64(0);
+            let want = want.finish();
+            for alias in aliases {
+                let req = ApiRequest::parse(Endpoint::Estimate, pairs(&[("process", alias)]));
+                assert_eq!(req.unwrap().digest(), want, "process={alias}");
+            }
+        }
+        let e = ApiRequest::parse(Endpoint::Estimate, pairs(&[("process", "p090")])).unwrap_err();
+        assert_eq!(
+            e.detail,
+            "parameter \"process\": unknown process \"p090\" (expected p018, p025 or p035)"
+        );
     }
 
     #[test]
@@ -1038,6 +1078,30 @@ mod tests {
         assert!(!d.deadline_hit);
         let text = String::from_utf8(sync).unwrap();
         assert!(text.contains("\"yield\":"));
+    }
+
+    #[test]
+    fn sync_requests_are_full_results_or_deadline_503s() {
+        // 2048 samples are 8 Monte Carlo chunks.
+        let req = ApiRequest::parse(
+            Endpoint::MonteCarlo,
+            pairs(&[("samples", "2048"), ("seed", "3")]),
+        )
+        .unwrap();
+        for quota in [0, 1] {
+            let e = req
+                .run_within(&RunBudget::expire_after_checks(quota))
+                .expect_err("a cut-short run is not a body");
+            assert_eq!(
+                (e.status, e.kind),
+                (503, "deadline-exhausted"),
+                "quota {quota}: {e}"
+            );
+        }
+        assert_eq!(
+            req.run_within(&RunBudget::unlimited()).unwrap(),
+            req.run_sync().unwrap()
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::api::{ApiError, ApiRequest};
 use crate::cache::ResultCache;
 use ssn_core::durable::{DurableOptions, RunBudget};
 use ssn_core::faults::Faults;
+use ssn_core::optimize::journal_family;
 use ssn_core::parallel::ExecPolicy;
 use ssn_core::storage::{CkptIo, RealIo};
 use std::collections::{HashMap, VecDeque};
@@ -114,6 +115,13 @@ struct QueueShared {
     disk_degraded: AtomicBool,
 }
 
+impl QueueShared {
+    /// The journal path a job with `digest` checkpoints to.
+    fn journal_path(&self, digest: u64) -> PathBuf {
+        self.spool.join(format!("job-{digest:016x}.ckpt"))
+    }
+}
+
 /// Handle to the queue (cheaply cloneable).
 #[derive(Debug, Clone)]
 pub struct JobQueue {
@@ -161,11 +169,6 @@ impl JobQueue {
                 .spawn(move || worker_loop(&shared))?;
         }
         Ok(Self { shared })
-    }
-
-    /// The journal path a job with `digest` checkpoints to.
-    pub fn journal_path(&self, digest: u64) -> PathBuf {
-        self.shared.spool.join(format!("job-{digest:016x}.ckpt"))
     }
 
     /// Admission control: admits `request` under its canonical digest,
@@ -308,43 +311,12 @@ impl JobQueue {
         }
         true
     }
-
-    /// `true` once [`JobQueue::drain`] has been called.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
 }
 
-/// Single-journal workloads checkpoint to the job's base path; multi-level
-/// searches (`/v1/optimize`) journal one `<base>.lv<k>` file per refinement
-/// level. Resume and cleanup must treat the whole family as the job's
-/// durable state: a crash mid-search leaves only `.lv*` siblings, and a
-/// finished or failed job must not leave stale level journals to poison a
-/// later digest collision.
-fn journal_family(journal: &std::path::Path) -> Vec<PathBuf> {
-    let mut family = vec![journal.to_path_buf()];
-    let (Some(dir), Some(name)) = (journal.parent(), journal.file_name()) else {
-        return family;
-    };
-    let prefix = format!("{}.lv", name.to_string_lossy());
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return family;
-    };
-    for entry in entries.flatten() {
-        let file = entry.file_name();
-        if let Some(rest) = file.to_string_lossy().strip_prefix(&prefix) {
-            if !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()) {
-                family.push(dir.join(file));
-            }
-        }
-    }
-    family
-}
-
-fn journal_family_exists(journal: &std::path::Path) -> bool {
-    journal_family(journal).iter().any(|p| p.exists())
-}
-
+/// Resume and cleanup treat a job's whole journal family as its durable
+/// state: a crash mid-search leaves only `.lv*` siblings, and a finished or
+/// failed job must not leave stale level journals to poison a later digest
+/// collision.
 fn remove_journal_family(io: &dyn CkptIo, journal: &std::path::Path) {
     for p in journal_family(journal) {
         let _ = io.remove_file(&p);
@@ -391,8 +363,8 @@ fn worker_loop(shared: &Arc<QueueShared>) {
             break;
         };
 
-        let journal = shared.spool.join(format!("job-{digest:016x}.ckpt"));
-        let resume = journal_family_exists(&journal);
+        let journal = shared.journal_path(digest);
+        let resume = journal_family(&journal).iter().any(|p| p.exists());
         let durable = DurableOptions {
             checkpoint: Some(journal.clone()),
             resume,
@@ -510,7 +482,7 @@ mod tests {
         let bytes = cache.get(digest).expect("result published");
         assert!(std::str::from_utf8(&bytes).unwrap().contains("\"mean\":"));
         assert!(
-            !q.journal_path(digest).exists(),
+            !q.shared.journal_path(digest).exists(),
             "journal removed on success"
         );
         // Submitting the finished job again reports Done via the cache.
@@ -568,7 +540,7 @@ mod tests {
             // A cancel that lands before the first chunk commits leaves no
             // journal (nothing to resume); one that lands later must leave
             // the journal intact for resume.
-            let had_journal = q.journal_path(digest).exists();
+            let had_journal = q.shared.journal_path(digest).exists();
             // A second queue over the same spool (the restarted server)
             // resumes the journal — or recomputes from scratch — and
             // finishes the job either way.

@@ -10,43 +10,15 @@
 //!   which is bit-stable for a given value across runs and platforms,
 //! * strings are escaped per RFC 8259 (quote, backslash, control bytes).
 //!
+//! Strings and numbers are encoded by [`ssn_telemetry::json`], the
+//! workspace's one JSON encoder.
+//!
 //! There is deliberately no parser here: the service accepts
 //! `application/x-www-form-urlencoded` parameters only (see
 //! [`crate::http`]), so nothing in the request path needs JSON decoding.
 
+use ssn_telemetry::json::{escape, number};
 use std::fmt::Write;
-
-/// Escapes `s` for inclusion in a JSON string literal (without the quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number: shortest round-trip form.
-///
-/// Non-finite values have no JSON representation; the service's numeric
-/// outputs are validated finite upstream, and any escapee becomes `null`
-/// rather than corrupt JSON.
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// An incrementally-built JSON object (field order = call order).
 #[derive(Debug)]
@@ -69,20 +41,20 @@ impl Obj {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        let _ = write!(self.buf, "{}:", escape(k));
     }
 
     /// Adds a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push_str(&escape(v));
         self
     }
 
     /// Adds an `f64` field (shortest round-trip form).
     pub fn f64(mut self, k: &str, v: f64) -> Self {
         self.key(k);
-        self.buf.push_str(&num(v));
+        self.buf.push_str(&number(v));
         self
     }
 
@@ -150,11 +122,18 @@ mod tests {
             body,
             "{\"kind\":\"estimate\",\"drivers\":8,\"vn\":0.5,\"ok\":true,\"points\":[1,2]}"
         );
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(
+            Obj::new().str("s", "a\"b\\c\nd\u{1}").finish(),
+            "{\"s\":\"a\\\"b\\\\c\\nd\\u0001\"}"
+        );
     }
 
     #[test]
     fn floats_are_shortest_round_trip_and_non_finite_is_null() {
+        let num = |v: f64| {
+            let body = Obj::new().f64("x", v).finish();
+            body["{\"x\":".len()..body.len() - 1].to_owned()
+        };
         assert_eq!(num(0.1), "0.1");
         assert_eq!(num(1e-9), "1e-9");
         assert_eq!(num(f64::NAN), "null");

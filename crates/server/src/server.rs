@@ -538,8 +538,7 @@ fn endpoint_response(
 
     // Small request: compute on this connection thread under the request
     // budget. The budget's remaining time also caps socket writes later.
-    let _ = budget;
-    match api_request.run_sync() {
+    match api_request.run_within(budget) {
         Ok(bytes) => {
             shared.cache.put(digest, bytes.clone());
             (

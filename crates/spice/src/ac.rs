@@ -114,16 +114,6 @@ impl AcResult {
             .collect();
         Ok(Waveform::new(self.freqs.clone(), values?)?)
     }
-
-    /// The frequency (Hz) of the largest magnitude at `node` — the
-    /// resonance locator used by the SSN impedance experiments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::UnknownProbe`] for an unknown node.
-    pub fn peak_frequency(&self, node: &str) -> Result<f64, SpiceError> {
-        Ok(self.magnitude(node)?.peak().time)
-    }
 }
 
 /// Runs an AC small-signal analysis.
@@ -384,13 +374,13 @@ mod tests {
 
         let opts = AcOptions::log_sweep("iin", f0 / 30.0, f0 * 30.0, 60);
         let res = ac_analysis(&circuit, &opts).unwrap();
-        let peak_f = res.peak_frequency("tank").unwrap();
+        let mag = res.magnitude("tank").unwrap();
+        let peak_f = mag.peak().time;
         assert!(
             (peak_f - f0).abs() / f0 < 0.05,
             "resonance at {peak_f:.3e}, expected {f0:.3e}"
         );
         // |Z| at resonance equals R (L and C cancel).
-        let mag = res.magnitude("tank").unwrap();
         assert!((mag.peak().value - r).abs() / r < 0.02);
     }
 

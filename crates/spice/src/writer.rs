@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_deck;
     use crate::tran::{transient, TranOptions};
-    use ssn_devices::{AlphaPower, MosPolarity, TableModel};
+    use ssn_devices::{AlphaPower, DrainCurrent, MosModel, MosPolarity};
     use std::sync::Arc;
 
     fn ssn_circuit() -> Circuit {
@@ -350,12 +350,29 @@ mod tests {
     }
 
     #[test]
-    fn table_models_are_rejected() {
-        let golden = AlphaPower::builder().build();
-        let table = TableModel::sample(&golden, &[0.0, 1.0, 1.8], &[0.0, 1.0, 1.8], 0.0).unwrap();
+    fn models_without_a_card_are_rejected() {
+        /// A device law with no `.model` card (the trait's default).
+        #[derive(Debug)]
+        struct NoCard;
+        impl MosModel for NoCard {
+            fn ids(&self, _vgs: f64, _vds: f64, _vbs: f64) -> DrainCurrent {
+                DrainCurrent::OFF
+            }
+            fn name(&self) -> &str {
+                "no-card"
+            }
+        }
         let mut c = Circuit::new();
-        c.mosfet("M1", MosPolarity::Nmos, "d", "g", "0", "0", Arc::new(table))
-            .expect("valid");
+        c.mosfet(
+            "M1",
+            MosPolarity::Nmos,
+            "d",
+            "g",
+            "0",
+            "0",
+            Arc::new(NoCard),
+        )
+        .expect("valid");
         assert!(matches!(
             write_deck(&c, "t", None),
             Err(SpiceError::InvalidValue { .. })

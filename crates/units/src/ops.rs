@@ -117,15 +117,6 @@ impl Henrys {
     }
 }
 
-impl Farads {
-    /// The displacement current `i = C * dv/dt` for a voltage ramp `dv` over
-    /// `dt`.
-    #[inline]
-    pub fn displacement_current(self, dv: Volts, dt: Seconds) -> Amps {
-        Amps::new(self.value() * dv.value() / dt.value())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,11 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn inductor_and_capacitor_helpers() {
+    fn inductor_emf() {
         let v = Henrys::from_nanos(5.0).emf(Amps::from_millis(72.0), Seconds::from_nanos(0.5));
         assert!((v.value() - 0.72).abs() < 1e-12);
-        let i =
-            Farads::from_picos(5.0).displacement_current(Volts::new(1.8), Seconds::from_nanos(0.5));
-        assert!((i.value() - 18e-3).abs() < 1e-15);
     }
 }

@@ -105,12 +105,6 @@ macro_rules! quantity {
                 Self(value * 1e-12)
             }
 
-            /// Creates a quantity from a value expressed in units of `1e-15`.
-            #[inline]
-            pub fn from_femtos(value: f64) -> Self {
-                Self(value * 1e-15)
-            }
-
             /// Creates a quantity from a value expressed in units of `1e3`.
             #[inline]
             pub fn from_kilos(value: f64) -> Self {
@@ -353,7 +347,6 @@ mod tests {
     #[test]
     fn prefixed_constructors() {
         assert!((Seconds::from_picos(200.0).value() - 2e-10).abs() < 1e-22);
-        assert!((Seconds::from_femtos(5.0).value() - 5e-15).abs() < 1e-27);
         assert!((Hertz::from_gigas(1.0).value() - 1e9).abs() < 1e-3);
         assert!((Hertz::from_megas(1.0).value() - 1e6).abs() < 1e-6);
         assert!((Ohms::from_kilos(2.0).value() - 2e3).abs() < 1e-9);

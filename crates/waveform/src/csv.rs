@@ -58,11 +58,6 @@ impl CsvTable {
         Ok(())
     }
 
-    /// Number of data columns (excluding time).
-    pub fn n_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Writes the table as CSV. Pass `&mut` of any `Write` (the generic is
     /// taken by value, so a mutable reference works).
     ///
@@ -112,7 +107,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "t,a,b");
         assert_eq!(lines.len(), 6);
-        assert_eq!(t.n_columns(), 2);
     }
 
     #[test]

@@ -382,7 +382,6 @@ fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
     let journal = TempJournal::new("torn");
     let plan = FaultPlan {
         crash_after_commits: Some(2),
-        crash_torn: true,
         ..FaultPlan::default()
     };
     let err = run_monte_carlo_durable(
@@ -393,8 +392,16 @@ fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
         &armed(1, plan),
         &checkpoint_at(journal.path(), false),
     )
-    .expect_err("torn crash");
+    .expect_err("crash");
     assert!(matches!(err, SsnError::Interrupted { .. }), "{err}");
+    // Tear the final commit: the image a kill inside a non-atomic write of
+    // the journal would leave.
+    let len = std::fs::metadata(journal.path()).expect("journal").len() as usize;
+    corrupt_checkpoint(
+        journal.path(),
+        JournalCorruption::Truncate { keep: len / 2 },
+    )
+    .expect("tear the journal");
 
     // The torn half-write must be detected, not half-trusted.
     let err = resume_seeded(&journal, 42).expect_err("torn journal rejected");

@@ -98,23 +98,6 @@ fn worker_panics_are_isolated_per_chunk() {
     }
 }
 
-/// Fault class 2b: a transient panic is rescued by the retry budget — no
-/// chunks lost, the retry is visible in telemetry.
-#[test]
-fn retry_budget_rescues_transient_worker_panics() {
-    let plan = FaultPlan {
-        seed: 9,
-        chunk_panic: 0.4,
-        panic_once: true,
-        ..FaultPlan::default()
-    };
-    let policy = ExecPolicy::serial().with_chunk_retries(1);
-    let (result, stats) = mc(Some(plan), &policy).expect("retries rescue every chunk");
-    assert_eq!(stats.failed_chunks, 0);
-    assert!(stats.retried_chunks > 0, "retries must be recorded");
-    assert_eq!(result.len(), SAMPLES);
-}
-
 /// Losing *every* chunk is a typed error naming the first cause, not an
 /// empty success.
 #[test]

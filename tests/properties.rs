@@ -947,10 +947,9 @@ fn optimizer_kill_resume_is_bit_identical() {
         golden.evaluated,
         resumed.evaluated
     );
-    for level in 0..=16u32 {
-        let _ = std::fs::remove_file(optimize::level_journal_path(&journal, level));
+    for path in optimize::journal_family(&journal) {
+        let _ = std::fs::remove_file(path);
     }
-    let _ = std::fs::remove_file(&journal);
 }
 
 /// Metamorphic cap law: tightening `max_noise_frac` only ever *removes*
