@@ -17,7 +17,9 @@ fn main() {
         .rise_time(Seconds::from_nanos(0.5))
         .build()
         .expect("valid scenario");
-    for n in [1usize, 4, 8] {
+    // The bridge folds the bank into one `M = N` instance, so the per-call
+    // cost stays flat in N.
+    for n in [1usize, 4, 8, 64] {
         let s = base.with_drivers(n).expect("valid");
         let cfg = DriverBankConfig::from_scenario(&s, Arc::new(process.output_driver()));
         let circuit = cfg.build_circuit().expect("valid circuit");

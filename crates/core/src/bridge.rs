@@ -21,6 +21,13 @@
 //!                    gnd ---gnd                 (true ground)
 //! ```
 //!
+//! Drivers that share a gate ramp and a model are one group: the bank is
+//! stamped as one `M = count` MOSFET per group driving the group's loads
+//! in parallel on one output node, the exact reduced form of `count`
+//! identical drivers (the paper's `N K` device). A bank built from
+//! distinct model `Arc`s ([`DriverBankConfig::with_mixed_models`]) folds
+//! nothing and yields one instance per driver, the reference netlist.
+//!
 //! The NFET bulks tie to the *true* ground. The paper's Fig. 1 instead holds
 //! `V_B = V_S`; our choice routes the source sensitivity through the body
 //! effect rather than channel-length modulation, which produces the same
@@ -130,6 +137,8 @@ impl DriverBankConfig {
 
     /// Replaces the uniform bank with an explicit per-driver model list
     /// (heterogeneous bank; the driver count follows the list length).
+    /// Drivers given the same `Arc` fold into one instance; a list of
+    /// distinct `Arc`s builds one instance per driver.
     ///
     /// # Panics
     ///
@@ -359,6 +368,59 @@ impl DriverBankConfig {
         Ok(())
     }
 
+    /// The bank's drivers as `(gate node, model, count)` groups in
+    /// first-seen order. Drivers fold when they share a gate node and a
+    /// model `Arc` (see the module docs).
+    fn driver_groups(&self) -> Vec<(String, Arc<dyn MosModel>, usize)> {
+        let mut groups: Vec<(String, Arc<dyn MosModel>, usize)> = Vec::new();
+        for i in 0..self.n_drivers {
+            let (gate, model) = (self.input_node(i), self.driver_model(i));
+            match groups
+                .iter_mut()
+                .find(|(g, m, _)| *g == gate && Arc::ptr_eq(m, &model))
+            {
+                Some(group) => group.2 += 1,
+                None => groups.push((gate, model, 1)),
+            }
+        }
+        groups
+    }
+
+    /// Stamps one `m{k}` instance per driver group, its `cl{k}` load (the
+    /// group's loads in parallel) and the output node `out{k}` starting at
+    /// `v_out`. `source` and `bulk` are the rail nodes of the analyzed side.
+    fn add_drivers(
+        &self,
+        c: &mut Circuit,
+        polarity: MosPolarity,
+        source: &str,
+        bulk: &str,
+        v_out: f64,
+    ) -> Result<(), SsnError> {
+        for (k, (gate, model, count)) in self.driver_groups().into_iter().enumerate() {
+            let out = format!("out{k}");
+            c.mosfet_parallel(
+                &format!("m{k}"),
+                polarity,
+                &out,
+                &gate,
+                source,
+                bulk,
+                model,
+                count,
+            )?;
+            c.capacitor_with_ic(
+                &format!("cl{k}"),
+                &out,
+                "0",
+                count as f64 * self.load_capacitance.value(),
+                v_out,
+            )?;
+            c.set_initial_voltage(&out, v_out)?;
+        }
+        Ok(())
+    }
+
     fn build_ground_circuit(&self) -> Result<Circuit, SsnError> {
         let mut c = Circuit::new();
         let vdd = self.vdd.value();
@@ -377,27 +439,7 @@ impl DriverBankConfig {
             c.diode("desd_up", "ng", "0", diode)?;
             c.diode("desd_dn", "0", "ng", diode)?;
         }
-        for i in 0..self.n_drivers {
-            let out = format!("out{i}");
-            let gate = self.input_node(i);
-            c.mosfet(
-                &format!("m{i}"),
-                MosPolarity::Nmos,
-                &out,
-                &gate,
-                "ng",
-                "0",
-                self.driver_model(i),
-            )?;
-            c.capacitor_with_ic(
-                &format!("cl{i}"),
-                &out,
-                "0",
-                self.load_capacitance.value(),
-                vdd,
-            )?;
-            c.set_initial_voltage(&out, vdd)?;
-        }
+        self.add_drivers(&mut c, MosPolarity::Nmos, "ng", "0", vdd)?;
         if self.victim {
             // Quiet victim: gate pinned high, output solidly LOW through
             // the (on) pull-down — until the ground node bounces.
@@ -431,27 +473,7 @@ impl DriverBankConfig {
         if self.capacitance.value() > 0.0 {
             c.capacitor_with_ic("cp", "vp", "0", self.capacitance.value(), vdd)?;
         }
-        for i in 0..self.n_drivers {
-            let out = format!("out{i}");
-            let gate = self.input_node(i);
-            c.mosfet(
-                &format!("m{i}"),
-                MosPolarity::Pmos,
-                &out,
-                &gate,
-                "vp",
-                "vddtrue",
-                self.driver_model(i),
-            )?;
-            c.capacitor_with_ic(
-                &format!("cl{i}"),
-                &out,
-                "0",
-                self.load_capacitance.value(),
-                0.0,
-            )?;
-            c.set_initial_voltage(&out, 0.0)?;
-        }
+        self.add_drivers(&mut c, MosPolarity::Pmos, "vp", "vddtrue", 0.0)?;
         c.set_initial_voltage("vp", vdd)?;
         c.set_initial_voltage("vddtrue", vdd)?;
         Ok(c)
@@ -475,7 +497,7 @@ pub struct SsnMeasurement {
     pub inductor_current: Waveform,
     /// The (first group's) input ramp as simulated.
     pub input: Waveform,
-    /// One representative driver output (`out0`).
+    /// One representative driver output (`out0`, the first group's).
     pub output: Waveform,
     /// The quiet victim's output glitch, when
     /// [`DriverBankConfig::with_victim`] is enabled.
@@ -593,18 +615,18 @@ pub fn ground_impedance(
         c.capacitor("cg", "ng", "0", cfg.capacitance.value())?;
     }
     c.vsource("vddsrc", "vdd", "0", SourceWave::Dc(vdd))?;
-    for i in 0..cfg.n_drivers {
-        // Drains held at the rail (the paper's "output stays high").
-        c.mosfet(
-            &format!("m{i}"),
-            MosPolarity::Nmos,
-            "vdd",
-            "in",
-            "ng",
-            "0",
-            cfg.model.clone(),
-        )?;
-    }
+    // The whole bank as one instance: every driver shares all four nodes,
+    // drains held at the rail (the paper's "output stays high").
+    c.mosfet_parallel(
+        "m0",
+        MosPolarity::Nmos,
+        "vdd",
+        "in",
+        "ng",
+        "0",
+        cfg.model.clone(),
+        cfg.n_drivers,
+    )?;
     // Unit AC current injected into the bouncing node: V(ng) == Z(jw).
     c.isource("iprobe", "0", "ng", SourceWave::Dc(0.0))?;
     let opts = AcOptions::log_sweep("iprobe", f_lo.value(), f_hi.value(), points_per_decade);
@@ -624,14 +646,68 @@ mod tests {
 
     #[test]
     fn circuit_structure() {
+        use ssn_spice::ElementKind;
         let cfg = p018_config(4);
         let c = cfg.build_circuit().unwrap();
-        // vin + lg + cg + 4 * (fet + load) = 11 elements.
-        assert_eq!(c.element_count(), 11);
-        assert!(c.find_element("m3").is_some());
-        assert!(c.find_element("cl0").is_some());
+        // vin + lg + cg + one folded fet + one folded load = 5 elements.
+        assert_eq!(c.element_count(), 5);
+        assert!(c.find_element("m1").is_none());
+        assert!(matches!(
+            c.find_element("m0").unwrap().kind(),
+            ElementKind::Mosfet { m: 4, .. }
+        ));
+        match c.find_element("cl0").unwrap().kind() {
+            ElementKind::Capacitor { farads, ic, .. } => {
+                assert!((farads - 20e-12).abs() < 1e-24, "cl0 = {farads}");
+                assert_eq!(*ic, Some(1.8));
+            }
+            other => panic!("cl0 is {other:?}"),
+        }
         assert!(c.find_node("ng").is_some());
         assert_eq!(cfg.n_drivers(), 4);
+    }
+
+    #[test]
+    fn drivers_fold_by_gate_and_model_identity() {
+        use ssn_spice::ElementKind;
+        let process = Process::p018();
+        let mult = |c: &Circuit, name: &str| match c.find_element(name).map(|e| e.kind()) {
+            Some(ElementKind::Mosfet { m, .. }) => *m,
+            other => panic!("{name} is {other:?}"),
+        };
+        // Two stagger groups of three: one instance per input ramp.
+        let staggered = p018_config(6)
+            .with_stagger(Stagger {
+                groups: 2,
+                group_delay: Seconds::from_nanos(1.0),
+            })
+            .build_circuit()
+            .unwrap();
+        assert_eq!((mult(&staggered, "m0"), mult(&staggered, "m1")), (3, 3));
+        assert!(staggered.find_element("m2").is_none());
+        // Two shared Arcs and one distinct: groups in first-seen order.
+        let (a, b): (Arc<dyn MosModel>, Arc<dyn MosModel>) = (
+            Arc::new(process.output_driver()),
+            Arc::new(process.output_driver_scaled(2.0)),
+        );
+        let lone: Arc<dyn MosModel> = Arc::new(process.output_driver());
+        let mixed = p018_config(1)
+            .with_mixed_models(vec![a.clone(), b.clone(), a, lone, b])
+            .build_circuit()
+            .unwrap();
+        let counts: Vec<usize> = (0..3).map(|k| mult(&mixed, &format!("m{k}"))).collect();
+        assert_eq!(counts, [2, 2, 1]);
+        // Distinct Arcs fold nothing: one instance, load and output each.
+        let models = (0..4)
+            .map(|_| -> Arc<dyn MosModel> { Arc::new(process.output_driver()) })
+            .collect();
+        let spread = p018_config(4)
+            .with_mixed_models(models)
+            .with_rail(Rail::Power)
+            .build_circuit()
+            .unwrap();
+        assert_eq!(mult(&spread, "m3"), 1);
+        assert!(spread.find_node("out3").is_some());
     }
 
     #[test]
@@ -985,6 +1061,47 @@ mod tests {
             peak_on < 0.3 * peak_off,
             "active drivers must damp the tank: {peak_on} vs {peak_off}"
         );
+    }
+
+    #[test]
+    fn folded_ground_impedance_equals_the_per_driver_circuit() {
+        let n = 8;
+        let cfg = p018_config(n);
+        let (f_lo, f_hi) = (Hertz::new(1e7), Hertz::new(1e11));
+        for bias in [0.0, 1.8] {
+            let (freqs, folded) = ground_impedance(&cfg, Volts::new(bias), f_lo, f_hi, 20).unwrap();
+            // The same probe with one MOSFET per driver.
+            let mut c = Circuit::new();
+            c.vsource("vbias", "in", "0", SourceWave::Dc(bias)).unwrap();
+            c.inductor("lg", "ng", "0", 5e-9).unwrap();
+            c.capacitor("cg", "ng", "0", 1e-12).unwrap();
+            c.vsource("vddsrc", "vdd", "0", SourceWave::Dc(1.8))
+                .unwrap();
+            let model: Arc<dyn MosModel> = Arc::new(Process::p018().output_driver());
+            for i in 0..n {
+                c.mosfet(
+                    &format!("m{i}"),
+                    MosPolarity::Nmos,
+                    "vdd",
+                    "in",
+                    "ng",
+                    "0",
+                    model.clone(),
+                )
+                .unwrap();
+            }
+            c.isource("iprobe", "0", "ng", SourceWave::Dc(0.0)).unwrap();
+            let opts = AcOptions::log_sweep("iprobe", 1e7, 1e11, 20);
+            let spread = ac_analysis(&c, &opts).unwrap().magnitude("ng").unwrap();
+            assert_eq!(freqs, spread.times());
+            for (f, (a, b)) in freqs.iter().zip(folded.iter().zip(spread.values())) {
+                let rel = (a - b).abs() / b;
+                assert!(
+                    rel <= 1e-9,
+                    "bias {bias} V, {f:.3e} Hz: {a} vs {b} ({rel:.1e})"
+                );
+            }
+        }
     }
 
     /// The headline validation: the closed-form models track the nonlinear

@@ -45,6 +45,12 @@ impl Default for GmresOptions {
     }
 }
 
+/// How far the componentwise backward error of an accepted solution may
+/// exceed [`GmresOptions::rel_tol`]. Healthy ILU(0) and Jacobi solves land
+/// within 10² of it; a preconditioner that hides rows of the residual
+/// misses by 10⁶ and more.
+const TRUE_RESIDUAL_SLACK: f64 = 1e3;
+
 /// A preconditioner `M ≈ A` applied as `out = M⁻¹ r`.
 #[derive(Debug, Clone)]
 pub enum Preconditioner {
@@ -142,7 +148,10 @@ pub struct LinearSolveReport {
     /// Final *true* (unpreconditioned) residual infinity norm
     /// `‖b − A x‖_∞`.
     pub residual: f64,
-    /// Whether the tolerance was met (always `true` for `dense-lu`).
+    /// Whether the tolerance was met (always `true` for `dense-lu`): the
+    /// preconditioned residual reached its target *and* the componentwise
+    /// backward error of the returned `x` is within a small multiple of
+    /// [`GmresOptions::rel_tol`].
     pub converged: bool,
 }
 
@@ -306,6 +315,11 @@ pub fn gmres(
         restarts += 1;
     }
 
+    // Left preconditioning minimizes `‖M⁻¹ r‖`, not `‖r‖`: an ILU(0)
+    // with a near-zero pivot (an MNA node held only by gmin) shrinks whole
+    // rows of the residual by that pivot, so the estimate can meet the
+    // target while `x` is wrong in those rows. The true residual decides.
+    let converged = converged && a.backward_error(&x, b)? <= TRUE_RESIDUAL_SLACK * opts.rel_tol;
     let residual = a.residual_inf(&x, b)?;
     Ok((
         x,
@@ -434,6 +448,80 @@ mod tests {
         let mut b = vec![0.0; a.dim()];
         a.matvec(&ones, &mut b).unwrap();
         b
+    }
+
+    /// One Newton system of a PMOS driver bank on the power rail, in MNA
+    /// order: gate node `g` (0) and true supply `s` (1), each held only by
+    /// gmin and pinned by a voltage-source branch; the bouncing rail `p`
+    /// (2) behind the package inductor; `k` identical loads (3..3+k); then
+    /// the branches of the gate source, the supply source and the
+    /// inductor. ILU(0) pivots on the 1e-12 gmin diagonals and drops the
+    /// fill they create, which hides the branch rows of the residual.
+    fn gmin_pinned_bank(k: usize) -> (CsrMatrix, Vec<f64>) {
+        let n = k + 6;
+        let (bg, bs, bl) = (k + 3, k + 4, k + 5);
+        let loads = 3..3 + k;
+        let mut a_ij = vec![
+            (0, 0, 1e-12),
+            (0, bg, 1.0),
+            (bg, 0, 1.0),
+            (1, 1, 1e-12),
+            (1, bs, 1.0),
+            (1, bl, 1.0),
+            (bs, 1, 1.0),
+            (bl, 1, 1.0),
+            (bl, 2, -1.0),
+            (bl, bl, -1e3),
+            (2, 0, -0.1887),
+            (2, 1, -0.0317),
+            (2, 2, 0.4205),
+            (2, bl, -1.0),
+        ];
+        for i in loads.clone() {
+            a_ij.extend([
+                (2, i, -2.557e-6),
+                (i, 0, 3.254e-3),
+                (i, 1, 5.458e-4),
+                (i, 2, -3.803e-3),
+                (i, i, 1.0000026),
+            ]);
+        }
+        let pattern: Vec<(usize, usize)> = a_ij.iter().map(|&(i, j, _)| (i, j)).collect();
+        let mut a = CsrMatrix::from_pattern(n, &pattern).unwrap();
+        for (i, j, v) in a_ij {
+            a.add(i, j, v);
+        }
+        let mut b = vec![0.0; n];
+        b[2] = 0.4422;
+        for i in loads {
+            b[i] = -1.417e-3;
+        }
+        b[bg] = 1.3488;
+        b[bs] = 1.8;
+        (a, b)
+    }
+
+    #[test]
+    fn a_preconditioner_that_hides_rows_does_not_report_convergence() {
+        let (a, b) = gmin_pinned_bank(4);
+        let ilu = Preconditioner::Ilu(Ilu0::new(&a).unwrap());
+        let (x, report) = gmres(&a, &b, &ilu, &GmresOptions::default()).unwrap();
+        let exact = lu::solve(&a.to_dense(), &b).unwrap();
+        let err = x
+            .iter()
+            .zip(&exact)
+            .map(|(u, v)| (u - v).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            !report.converged || err < 1e-9,
+            "reported convergence at error {err:.3e}: {report}"
+        );
+        // The ladder still lands on the exact answer.
+        let (x, report) = solve_sparse(&a, &b, &GmresOptions::default()).unwrap();
+        assert!(report.converged, "{report}");
+        for (u, v) in x.iter().zip(&exact) {
+            assert!((u - v).abs() <= 1e-9 * v.abs().max(1.0), "{u} vs {v}");
+        }
     }
 
     #[test]

@@ -203,6 +203,42 @@ impl CsrMatrix {
             .map(|(a, b)| (b - a).abs())
             .fold(0.0, f64::max))
     }
+
+    /// Componentwise (Oettli–Prager) backward error of `x`:
+    /// `max_i |b - A x|_i / (|A| |x| + |b|)_i`, the smallest relative
+    /// perturbation of each entry of `A` and `b` that makes `x` exact.
+    /// Unlike a norm of the residual it weighs every row on its own scale,
+    /// so a row whose natural magnitude is tiny (an MNA node held only by
+    /// `gmin`) cannot hide its error behind a large row. A zero residual
+    /// over a zero row counts as exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::ShapeMismatch`] on length mismatches.
+    pub fn backward_error(&self, x: &[f64], b: &[f64]) -> Result<f64, NumericError> {
+        if x.len() != self.n || b.len() != self.n {
+            return Err(NumericError::shape(format!(
+                "backward error: x has length {}, b has length {}, expected {}",
+                x.len(),
+                b.len(),
+                self.n
+            )));
+        }
+        let mut worst = 0.0f64;
+        for (i, bi) in b.iter().enumerate() {
+            let (mut ax, mut scale) = (0.0, bi.abs());
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let term = self.values[k] * x[self.col_idx[k]];
+                ax += term;
+                scale += term.abs();
+            }
+            let r = (bi - ax).abs();
+            if r > 0.0 {
+                worst = worst.max(r / scale);
+            }
+        }
+        Ok(worst)
+    }
 }
 
 /// An incomplete LU factorization with zero fill — ILU(0).

@@ -240,13 +240,14 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Spic
                     s,
                     b: nb,
                     model,
+                    m,
                 } => {
                     // Small-signal conductances at the DC operating point.
                     let vd = layout.voltage(&x0, *d);
                     let vg = layout.voltage(&x0, *g);
                     let vs = layout.voltage(&x0, *s);
                     let vb = layout.voltage(&x0, *nb);
-                    let lin = mos_linearize(model.as_ref(), *polarity, vd, vg, vs, vb);
+                    let lin = mos_linearize(model.as_ref(), *polarity, vd, vg, vs, vb).parallel(*m);
                     let stamps = [(*d, lin.g_d), (*g, lin.g_g), (*s, lin.g_s), (*nb, lin.g_b)];
                     if let Some(i) = layout.node_index(*d) {
                         for (node, gval) in stamps {

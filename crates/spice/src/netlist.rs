@@ -111,6 +111,10 @@ pub enum ElementKind {
         b: NodeId,
         /// The compact model.
         model: Arc<dyn MosModel>,
+        /// Instance multiplier (SPICE `M=`, >= 1): `m` identical devices
+        /// in parallel on the same four nodes, carrying `m` times the
+        /// current of one.
+        m: usize,
     },
 }
 
@@ -518,6 +522,34 @@ impl Circuit {
         b: &str,
         model: Arc<dyn MosModel>,
     ) -> Result<(), SpiceError> {
+        self.mosfet_parallel(name, polarity, d, g, s, b, model, 1)
+    }
+
+    /// Adds `m` identical MOSFETs in parallel as one instance (SPICE
+    /// `M=m`): one set of nodes, `m` times the current and conductances.
+    /// This is the exact reduced system of `m` devices that share all
+    /// four nodes.
+    ///
+    /// # Errors
+    ///
+    /// Invalid names, duplicate element names, or `m == 0`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mosfet_parallel(
+        &mut self,
+        name: &str,
+        polarity: MosPolarity,
+        d: &str,
+        g: &str,
+        s: &str,
+        b: &str,
+        model: Arc<dyn MosModel>,
+        m: usize,
+    ) -> Result<(), SpiceError> {
+        if m == 0 {
+            return Err(SpiceError::InvalidValue {
+                context: format!("multiplier M of {name:?} must be at least 1"),
+            });
+        }
         let d = self.node(d)?;
         let g = self.node(g)?;
         let s = self.node(s)?;
@@ -531,6 +563,7 @@ impl Circuit {
                 s,
                 b,
                 model,
+                m,
             },
         )
     }
@@ -610,5 +643,35 @@ mod tests {
         assert_eq!(c.element_count(), 1);
         assert_eq!(c.node_count(), 4); // gnd, d, g, s
         assert_eq!(c.elements()[0].name(), "m1");
+        assert!(matches!(
+            c.elements()[0].kind(),
+            ElementKind::Mosfet { m: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn mosfet_multiplier_is_recorded_and_validated() {
+        let mut c = Circuit::new();
+        let model = std::sync::Arc::new(AlphaPower::builder().build());
+        c.mosfet_parallel(
+            "m4",
+            MosPolarity::Nmos,
+            "d",
+            "g",
+            "s",
+            "0",
+            model.clone(),
+            4,
+        )
+        .unwrap();
+        assert!(matches!(
+            c.find_element("m4").unwrap().kind(),
+            ElementKind::Mosfet { m: 4, .. }
+        ));
+        let err = c
+            .mosfet_parallel("m0", MosPolarity::Nmos, "d", "g", "s", "0", model, 0)
+            .unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidValue { .. }));
+        assert!(c.find_element("m0").is_none());
     }
 }

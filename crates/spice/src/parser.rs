@@ -10,7 +10,7 @@
 //! V<name> n+ n- <dc | PULSE(..) | PWL(..) | SIN(..)>
 //! I<name> n+ n- <dc | PULSE(..) | PWL(..) | SIN(..)>
 //! G<name> out+ out- ctrl+ ctrl- gm
-//! M<name> d g s b modelname [W=mult]
+//! M<name> d g s b modelname [W=mult] [M=count]
 //! D<name> anode cathode modelname
 //! X<name> node... subcktname
 //! .subckt <name> port... / .ends
@@ -431,21 +431,26 @@ pub fn parse_deck(text: &str) -> Result<Deck, SpiceError> {
                 circuit.diode(&head, &toks[1], &toks[2], *d)?;
             }
             'M' => {
-                require(&toks, 6, *line, "M<name> d g s b model [W=mult]")?;
+                require(&toks, 6, *line, "M<name> d g s b model [W=mult] [M=count]")?;
                 let model_name = toks[5].to_ascii_lowercase();
                 let Some((polarity, def)) = models.get(&model_name) else {
                     return Err(err(*line, format!("unknown model {model_name:?}")));
                 };
-                // Optional width multiplier.
-                let width = match toks.get(6) {
-                    Some(wtok) => parse_kv(std::slice::from_ref(wtok), *line)?
-                        .get("w")
-                        .copied(),
-                    None => None,
+                // Optional width multiplier and instance count.
+                let params = parse_kv(&toks[6..], *line)?;
+                let model = def.instantiate(params.get("w").copied(), *line)?;
+                let m = match params.get("m") {
+                    Some(&m) if m.is_finite() && m >= 1.0 && m.fract() == 0.0 => m as usize,
+                    Some(m) => {
+                        return Err(err(
+                            *line,
+                            format!("M multiplier must be a positive integer, got {m}"),
+                        ))
+                    }
+                    None => 1,
                 };
-                let model = def.instantiate(width, *line)?;
-                circuit.mosfet(
-                    &head, *polarity, &toks[1], &toks[2], &toks[3], &toks[4], model,
+                circuit.mosfet_parallel(
+                    &head, *polarity, &toks[1], &toks[2], &toks[3], &toks[4], model, m,
                 )?;
             }
             other => return Err(err(*line, format!("unknown element type {other:?}"))),
@@ -866,6 +871,27 @@ Cl1 out1 0 5p IC=1.8
     }
 
     #[test]
+    fn instance_multiplier_beside_width() {
+        let deck = parse_deck(
+            "t\n\
+             M1 d g 0 0 ap M=3 W=2\n\
+             M2 d g 0 0 ap\n\
+             .model ap NMOS b=6.1m\n",
+        )
+        .unwrap();
+        let kind = |name: &str| deck.circuit.find_element(name).unwrap().kind().clone();
+        let (ElementKind::Mosfet { m: m1, model, .. }, ElementKind::Mosfet { m: m2, .. }) =
+            (kind("M1"), kind("M2"))
+        else {
+            panic!("wrong kinds");
+        };
+        assert_eq!((m1, m2), (3, 1));
+        // W scales the model; M is carried on the instance, not folded in.
+        let base = AlphaPower::builder().build().ids(1.8, 1.8, 0.0).id;
+        assert!((model.ids(1.8, 1.8, 0.0).id - 2.0 * base).abs() < 1e-9);
+    }
+
+    #[test]
     fn error_reporting_carries_line_numbers() {
         let cases = [
             ("t\nR1 a 0\n", 2, "expected"),
@@ -878,6 +904,21 @@ Cl1 out1 0 5p IC=1.8
             ("t\nV1 a 0 PWL(1n 1 0 0)\n", 2, "non-decreasing"),
             ("t\n.model m NMOS\n.model m2 FOO\n", 3, "unknown polarity"),
             ("t\n.ic V(a) 0\n", 2, ".ic expects"),
+            (
+                "t\nM1 d g 0 0 ap M=0\n.model ap NMOS\n",
+                2,
+                "positive integer",
+            ),
+            (
+                "t\nM1 d g 0 0 ap M=2.5\n.model ap NMOS\n",
+                2,
+                "positive integer",
+            ),
+            (
+                "t\nM1 d g 0 0 ap W=2 M=-3\n.model ap NMOS\n",
+                2,
+                "positive integer",
+            ),
         ];
         for (deck, want_line, want_msg) in cases {
             match parse_deck(deck) {

@@ -122,7 +122,8 @@ impl TranResult {
     }
 
     /// The drain-terminal current waveform of a MOSFET, re-evaluated from
-    /// the stored node voltages.
+    /// the stored node voltages (the whole instance: `M` times one
+    /// device's current).
     ///
     /// # Errors
     ///
@@ -137,6 +138,7 @@ impl TranResult {
             s,
             b,
             model,
+            m,
         } = self.circuit.elements()[idx].kind().clone()
         else {
             return Err(SpiceError::UnknownProbe {
@@ -151,7 +153,9 @@ impl TranResult {
                 let vg = self.layout.voltage(x, g);
                 let vs = self.layout.voltage(x, s);
                 let vb = self.layout.voltage(x, b);
-                mos_linearize(model.as_ref(), polarity, vd, vg, vs, vb).i
+                mos_linearize(model.as_ref(), polarity, vd, vg, vs, vb)
+                    .parallel(m)
+                    .i
             })
             .collect();
         Ok(Waveform::new(self.times.clone(), v)?)

@@ -437,12 +437,13 @@ pub(crate) fn assemble<S: StampMatrix>(
                 s,
                 b,
                 model,
+                m,
             } => {
                 let vd = layout.voltage(x, *d);
                 let vg = layout.voltage(x, *g);
                 let vs = layout.voltage(x, *s);
                 let vb = layout.voltage(x, *b);
-                let lin = mos_linearize(model.as_ref(), *polarity, vd, vg, vs, vb);
+                let lin = mos_linearize(model.as_ref(), *polarity, vd, vg, vs, vb).parallel(*m);
                 // ieq so that i_into_d = sum(g_k v_k) + ieq at the iterate.
                 let ieq = lin.i - lin.g_d * vd - lin.g_g * vg - lin.g_s * vs - lin.g_b * vb;
                 let stamps = [(*d, lin.g_d), (*g, lin.g_g), (*s, lin.g_s), (*b, lin.g_b)];
@@ -477,6 +478,22 @@ pub(crate) struct MosLinearization {
     pub g_g: f64,
     pub g_s: f64,
     pub g_b: f64,
+}
+
+impl MosLinearization {
+    /// The linearization of `m` identical devices in parallel (an `M=m`
+    /// instance): the current and every conductance scale by `m`. Exact
+    /// (bit for bit) at `m = 1`.
+    pub(crate) fn parallel(self, m: usize) -> Self {
+        let k = m as f64;
+        Self {
+            i: k * self.i,
+            g_d: k * self.g_d,
+            g_g: k * self.g_g,
+            g_s: k * self.g_s,
+            g_b: k * self.g_b,
+        }
+    }
 }
 
 /// Evaluates `model` at absolute terminal voltages, handling polarity and
@@ -690,6 +707,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An `M=3` instance stamps what three devices on the same nodes do.
+    #[test]
+    fn multiplied_instance_stamps_like_parallel_devices() {
+        let model = std::sync::Arc::new(AlphaPower::builder().build());
+        let bank = |copies: usize, m: usize| {
+            let mut c = Circuit::new();
+            c.vsource("vin", "in", "0", SourceWave::Dc(1.2)).unwrap();
+            c.resistor("rl", "out", "0", 1e3).unwrap();
+            for k in 0..copies {
+                c.mosfet_parallel(
+                    &format!("m{k}"),
+                    MosPolarity::Nmos,
+                    "out",
+                    "in",
+                    "ng",
+                    "0",
+                    model.clone(),
+                    m,
+                )
+                .unwrap();
+            }
+            c.resistor("rg", "ng", "0", 2.0).unwrap();
+            c
+        };
+        let (folded, spread) = (bank(1, 3), bank(3, 1));
+        let layout = SystemLayout::new(&folded);
+        assert_eq!(layout.dim(), SystemLayout::new(&spread).dim());
+        let x: Vec<f64> = (0..layout.dim()).map(|i| 0.3 * (i as f64 + 1.0)).collect();
+        let mode = AnalysisMode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        let assembled = |c: &Circuit| {
+            let mut a = DenseMatrix::zeros(layout.dim(), layout.dim());
+            let mut z = vec![0.0; layout.dim()];
+            assemble(c, &layout, &x, &mode, &mut a, &mut z);
+            (a, z)
+        };
+        let ((a1, z1), (a3, z3)) = (assembled(&folded), assembled(&spread));
+        let close = |u: f64, v: f64| (u - v).abs() <= 1e-14 * u.abs().max(v.abs());
+        for i in 0..layout.dim() {
+            assert!(close(z1[i], z3[i]), "z[{i}]: {} vs {}", z1[i], z3[i]);
+            for j in 0..layout.dim() {
+                assert!(close(a1[(i, j)], a3[(i, j)]), "A[{i}][{j}]");
+            }
+        }
+        // Scaling by one is exact, so `mosfet` and `M=1` stamp the same bits.
+        let lin = mos_linearize(model.as_ref(), MosPolarity::Nmos, 1.1, 1.8, 0.2, 0.0);
+        assert_eq!(lin.parallel(1), lin);
     }
 
     #[test]

@@ -163,6 +163,7 @@ pub fn write_deck(
                 s,
                 b,
                 model,
+                m,
             } => {
                 let params = model
                     .model_card_params()
@@ -175,9 +176,14 @@ pub fn write_deck(
                     })?;
                 let pol = polarity.to_string().to_ascii_uppercase();
                 let mname = model_name_of(&params, &pol);
+                let mult = if *m > 1 {
+                    format!(" M={m}")
+                } else {
+                    String::new()
+                };
                 let _ = writeln!(
                     body,
-                    "{} {} {} {} {} {}",
+                    "{} {} {} {} {} {}{mult}",
                     el.name(),
                     node(*d),
                     node(*g),
@@ -286,6 +292,34 @@ mod tests {
         let err = va.max_abs_error(&vb).unwrap();
         assert!(err < 2e-3, "roundtrip dynamics diverged by {err}");
         assert!(va.peak().value > 0.05);
+    }
+
+    #[test]
+    fn instance_multiplier_roundtrips() {
+        let mut c = Circuit::new();
+        let model = Arc::new(AlphaPower::builder().build());
+        c.mosfet_parallel(
+            "M0",
+            MosPolarity::Nmos,
+            "out",
+            "in",
+            "ng",
+            "0",
+            model.clone(),
+            4,
+        )
+        .expect("valid");
+        c.mosfet("M1", MosPolarity::Nmos, "out", "in", "ng", "0", model)
+            .expect("valid");
+        let text = write_deck(&c, "folded bank", None).unwrap();
+        assert_eq!(text.matches(" M=4").count(), 1, "{text}");
+        assert_eq!(text.matches("M=").count(), 1, "M=1 is implicit: {text}");
+        let deck = parse_deck(&text).unwrap();
+        let mult = |name: &str| match deck.circuit.find_element(name).unwrap().kind() {
+            ElementKind::Mosfet { m, .. } => *m,
+            other => panic!("{name} parsed as {other:?}"),
+        };
+        assert_eq!((mult("M0"), mult("M1")), (4, 1));
     }
 
     #[test]
