@@ -11,14 +11,17 @@
 //! 3. **eval stage only** — the per-sample scenario rebuild + `vn_max`
 //!    against the slab kernels on the same pre-drawn parameter batch. This
 //!    isolates the stage the refactor replaced from the pinned RNG stream
-//!    (Box–Muller draws whose bit pattern checkpoints and seeds freeze),
-//!    which both paths must pay identically.
+//!    (the v2 ziggurat draws, whose values checkpoints and seeds freeze
+//!    within the stream version; DESIGN.md §11), which both paths must pay
+//!    identically.
 //!
 //! The Amdahl floor is printed explicitly: with the perturbation stage
-//! pinned, end-to-end speedup is bounded by
+//! shared, end-to-end speedup is bounded by
 //! `(perturb + scalar eval) / (perturb + slab eval)` no matter how fast
-//! the kernels get. Covers the LC closed form (nominal `C > 0`) and the
-//! L-only limit (`C = 0`).
+//! the kernels get. Stream v2 lowered that floor: the ziggurat draws cost
+//! about a fifth of the Box–Muller draws of v1, so the slab kernels' gain
+//! shows more of itself end to end. Covers the LC closed form (nominal
+//! `C > 0`) and the L-only limit (`C = 0`).
 //!
 //! Run with `cargo run -p ssn-bench --bin mc_soa --release`; pass a sample
 //! count to override the default (the CI smoke uses a small one).
@@ -132,7 +135,7 @@ fn slab_eval_wall(s: &SsnScenario, batch: &McBatch, out: &mut [f64]) -> Duration
 }
 
 /// Best-of-`REPEATS` wall clock of the perturbation stage alone — the
-/// pinned Box–Muller stream both paths must consume draw for draw.
+/// pinned v2 stream both paths must consume draw for draw.
 fn perturb_wall(s: &SsnScenario, spec: &VariationSpec, samples: usize) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..REPEATS {
@@ -284,11 +287,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ns = |d: Duration| d.as_secs_f64() / samples as f64 * 1e9;
         stages.row(&[
             model.to_owned(),
-            "perturb (Box-Muller stream)".to_owned(),
+            "perturb (v2 ziggurat stream)".to_owned(),
             format!("{:.1}", ns(perturb)),
             format!("{:.0}", rate(samples, perturb)),
             "shared".to_owned(),
-            "yes (bit-frozen)".to_owned(),
+            "yes (stream v2)".to_owned(),
         ]);
         stages.row(&[
             model.to_owned(),

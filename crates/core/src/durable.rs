@@ -32,7 +32,7 @@
 //! magic    8 B   "SSNCKPT1"
 //! version  4 B   u32, currently 1
 //! header:
-//!   kind_len u32, kind bytes      workload tag ("montecarlo", ...)
+//!   kind_len u32, kind bytes      workload tag ("montecarlo.v2", ...)
 //!   seed        u64
 //!   params_hash u64               digest of every run parameter
 //!   n_items     u64
@@ -128,7 +128,7 @@ impl ParamDigest {
 /// A checkpoint commits to all five fields; resume refuses any mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpec {
-    /// Workload tag (`"montecarlo"`, `"sweep-grid"`, `"validate"`, ...).
+    /// Workload tag (`"montecarlo.v2"`, `"sweep-grid"`, `"validate"`, ...).
     pub kind: &'static str,
     /// The run's RNG seed (0 for non-randomized workloads).
     pub seed: u64,

@@ -218,12 +218,11 @@ impl McResult {
     }
 
     /// Fraction of samples whose maximum SSN stays within `budget`.
+    ///
+    /// The samples are sorted, so the count of those `<= budget` is a
+    /// binary search, not a scan.
     pub fn yield_within(&self, budget: Volts) -> f64 {
-        let ok = self
-            .samples
-            .iter()
-            .filter(|&&v| v <= budget.value())
-            .count();
+        let ok = self.samples.partition_point(|&v| v <= budget.value());
         ok as f64 / self.samples.len() as f64
     }
 
@@ -605,7 +604,10 @@ pub fn mc_run_spec(
         .push_f64(spec.l_frac)
         .push_f64(spec.c_frac);
     RunSpec {
-        kind: "montecarlo",
+        // The kind names the sample stream's version (v2: the ziggurat
+        // `Rng::normal`), so a journal of another stream's samples fails
+        // `verify_spec` instead of mixing with this one's.
+        kind: "montecarlo.v2",
         seed,
         params_hash: d.finish(),
         n_items: n_samples,
@@ -706,10 +708,10 @@ pub fn run_monte_carlo_durable_with_path(
     if durability.deadline_hit && samples.len() < n_samples {
         durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, samples.len());
     }
-    // total_cmp, not partial_cmp: every sample is checked finite in
+    // Total order, not partial_cmp: every sample is checked finite in
     // `mc_chunk`, but a total order keeps the sort panic-free by
     // construction.
-    samples.sort_by(|a, b| a.total_cmp(b));
+    stats::sort_total(&mut samples);
     Ok((McResult { samples }, stats, durability))
 }
 
@@ -813,6 +815,26 @@ mod tests {
         assert!(r.yield_within(Volts::ZERO) == 0.0);
         // Quantile/yield duality.
         assert!((r.yield_within(r.quantile(0.5)) - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn yield_by_binary_search_matches_the_linear_count() {
+        // A real run, plus a hand-built sorted sample set with runs of ties.
+        let run = run_monte_carlo(&nominal(), &VariationSpec::typical(), 700, 5).unwrap();
+        let tied = McResult {
+            samples: vec![0.1, 0.2, 0.2, 0.2, 0.35, 0.5, 0.5, 0.9],
+        };
+        for r in [&run, &tied] {
+            let s = r.samples();
+            let (lo, hi) = (s[0], s[s.len() - 1]);
+            for budget in [0.0, lo - 1e-9, lo, s[s.len() / 2], hi, hi + 1e-9, 0.2, 0.5] {
+                let linear = s.iter().filter(|&&v| v <= budget).count() as f64 / s.len() as f64;
+                let got = r.yield_within(Volts::new(budget));
+                assert_eq!(got.to_bits(), linear.to_bits(), "budget {budget}");
+            }
+        }
+        assert_eq!(tied.yield_within(Volts::new(0.2)), 0.5);
+        assert_eq!(tied.yield_within(Volts::new(0.5)), 7.0 / 8.0);
     }
 
     #[test]

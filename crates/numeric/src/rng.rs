@@ -118,16 +118,82 @@ impl Rng {
         lo + ((self.next_u64() as u128 * span as u128) >> 64) as usize
     }
 
-    /// A standard normal deviate via Box–Muller.
+    /// A uniform `f64` in the open interval `(0, 1)`: the 53-bit grid of
+    /// [`Rng::uniform`] shifted by half a step, so `ln` never sees zero.
+    fn uniform_open(&mut self) -> f64 {
+        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A standard normal deviate: Marsaglia & Tsang's 256-layer ziggurat
+    /// (*J. Stat. Softw.* 5(8), 2000).
+    ///
+    /// One `next_u64` feeds both the layer index (its low 8 bits) and a
+    /// signed uniform (its upper 52 bits, centred on the half-step grid so
+    /// `u` and `-u` are equally likely and neither `0` nor `±1` occurs).
+    /// About 98.5% of draws return from the rectangle test alone; the rest
+    /// pay one `exp` in a wedge or Marsaglia's `ln` loop in the tail beyond
+    /// `R ≈ 3.654`. The values this stream yields per seed are the Monte
+    /// Carlo stream contract (v2; DESIGN.md §11).
     pub fn normal(&mut self) -> f64 {
+        let zig = Ziggurat::get();
         loop {
-            let u1 = self.uniform();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            let u = ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 51) as f64) - 1.0;
+            let x = u * zig.x[i];
+            if x.abs() < zig.x[i + 1] {
+                return x;
             }
-            let u2 = self.uniform();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            if i == 0 {
+                return self.normal_tail(u < 0.0);
+            }
+            let y = zig.f[i + 1] + (zig.f[i] - zig.f[i + 1]) * self.uniform();
+            if y < (-0.5 * x * x).exp() {
+                return x;
+            }
         }
+    }
+
+    /// A deviate from the normal tail beyond `±ZIG_R` (Marsaglia's method).
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            let x = self.uniform_open().ln() / ZIG_R;
+            let y = self.uniform_open().ln();
+            if -2.0 * y >= x * x {
+                return if negative { x - ZIG_R } else { ZIG_R - x };
+            }
+        }
+    }
+}
+
+/// Start of the tail: the right edge of the 256-layer ziggurat's base
+/// layer.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// The common area of every layer (the base layer includes the tail).
+const ZIG_V: f64 = 4.928_673_233_99e-3;
+
+/// The ziggurat's layer edges `x[i]` (decreasing, `x[256] = 0`) and the
+/// unnormalized density `f[i] = exp(-x[i]²/2)` at each, built once.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+impl Ziggurat {
+    fn get() -> &'static Self {
+        static TABLES: std::sync::OnceLock<Ziggurat> = std::sync::OnceLock::new();
+        TABLES.get_or_init(|| {
+            let pdf = |x: f64| (-0.5 * x * x).exp();
+            let mut x = [0.0; 257];
+            // x[0] is the base layer's pseudo-width: a rectangle of area V
+            // and height f(R), whose overhang past R stands for the tail.
+            x[0] = ZIG_V / pdf(ZIG_R);
+            x[1] = ZIG_R;
+            for i in 2..256 {
+                x[i] = (-2.0 * (ZIG_V / x[i - 1] + pdf(x[i - 1])).ln()).sqrt();
+            }
+            Self { x, f: x.map(pdf) }
+        })
     }
 }
 
@@ -202,6 +268,90 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(r.usize_in(3, 3), 3);
+    }
+
+    /// Standard normal CDF through the Numerical Recipes `erfc`
+    /// (fractional error < 1.2e-7, far below the KS bound tested here).
+    fn phi(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let upper = 0.5 * t * poly.exp();
+        if x >= 0.0 {
+            1.0 - upper
+        } else {
+            upper
+        }
+    }
+
+    /// A fixed-seed 10^6-draw check of the ziggurat against the Gaussian:
+    /// the whole CDF (Kolmogorov–Smirnov at the 1% critical value), the
+    /// first two moments, the mass on each side beyond `±3` (where a wrong
+    /// wedge test shows first), beyond `±ZIG_R` (which only the tail branch
+    /// can produce) and beyond `±4`, and sign symmetry.
+    #[test]
+    fn ziggurat_normal_matches_the_gaussian() {
+        let n = 1_000_000usize;
+        let nf = n as f64;
+        let mut r = Rng::seed_from_u64(2000);
+        let mut xs: Vec<f64> = (0..n).map(|_| r.normal()).collect();
+        assert!(xs.iter().all(|x| x.is_finite()));
+
+        let mean = xs.iter().sum::<f64>() / nf;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (nf - 1.0);
+        assert!(mean.abs() < 4.0 / nf.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 4.0 * (2.0 / nf).sqrt(), "var {var}");
+
+        // Counts of a binomial(n, p) event within 4 sigma of n p.
+        let within_4_sigma = |count: usize, p: f64| {
+            (count as f64 - nf * p).abs() <= 4.0 * (nf * p * (1.0 - p)).sqrt()
+        };
+        for edge in [3.0, ZIG_R, 4.0] {
+            let p = phi(-edge);
+            let above = xs.iter().filter(|&&x| x > edge).count();
+            let below = xs.iter().filter(|&&x| x < -edge).count();
+            for (side, count) in [("above", above), ("below", below)] {
+                assert!(
+                    within_4_sigma(count, p),
+                    "{count} draws {side} ±{edge}, want {}",
+                    nf * p
+                );
+            }
+        }
+        let positive = xs.iter().filter(|&&x| x > 0.0).count();
+        assert!(within_4_sigma(positive, 0.5), "{positive} positive draws");
+
+        xs.sort_by(f64::total_cmp);
+        let ks = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let c = phi(x);
+                (c - i as f64 / nf).max((i + 1) as f64 / nf - c)
+            })
+            .fold(0.0, f64::max);
+        assert!(ks <= 1.63 / nf.sqrt(), "KS distance {ks}");
+    }
+
+    #[test]
+    fn ziggurat_tables_close_at_zero() {
+        let zig = Ziggurat::get();
+        assert_eq!(zig.x[1], ZIG_R);
+        assert_eq!(zig.x[256], 0.0);
+        assert!(zig.x.windows(2).all(|w| w[0] > w[1]));
+        // The top layer's recursion must land on f = 1 (x = 0): the
+        // constants R and V are consistent to ~1e-10.
+        let top = ZIG_V / zig.x[255] + zig.f[255];
+        assert!((top - 1.0).abs() < 1e-9, "top layer closes at {top}");
+        assert_eq!(zig.f[256], 1.0);
     }
 
     #[test]

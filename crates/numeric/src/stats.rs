@@ -171,6 +171,33 @@ pub fn mean(xs: &[f64]) -> Result<f64, NumericError> {
     Ok(sum_ordered(xs) / xs.len() as f64)
 }
 
+/// Sorts `xs` ascending in IEEE 754 total order, bit-identical to
+/// `xs.sort_by(f64::total_cmp)` but by an unstable integer sort.
+///
+/// Each value is first rewritten in place to its total-order key — the bit
+/// pattern with every bit flipped for a negative sign, or only the sign
+/// bit flipped otherwise — so unsigned key order is exactly
+/// [`f64::total_cmp`] order. The keys are sorted as `u64` and mapped back.
+/// Two values with equal keys are bit-identical, so the unstable sort
+/// cannot reorder anything a stable one would keep apart. No second buffer
+/// is allocated.
+pub fn sort_total(xs: &mut [f64]) {
+    const SIGN: u64 = 1 << 63;
+    // An arithmetic shift smears the sign bit: all ones for a negative
+    // sign, zero otherwise.
+    let smear = |b: u64| ((b as i64) >> 63) as u64;
+    for x in xs.iter_mut() {
+        let b = x.to_bits();
+        *x = f64::from_bits(b ^ (smear(b) | SIGN));
+    }
+    xs.sort_unstable_by_key(|k| k.to_bits());
+    for x in xs.iter_mut() {
+        // A key's top bit is set exactly when the value was non-negative.
+        let k = x.to_bits();
+        *x = f64::from_bits(k ^ (!smear(k) | SIGN));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +362,59 @@ mod tests {
             }
         }
         assert_ne!(left_to_right.to_bits(), pairwise(&xs).to_bits());
+    }
+
+    /// `sort_total` is bit-identical to the stable `total_cmp` sort on
+    /// every length from 0 up through ragged sizes, over a pool mixing
+    /// duplicates, both zeros, both infinities, subnormals and NaNs of
+    /// both signs with distinct payloads.
+    #[test]
+    fn sort_total_matches_the_stable_total_cmp_sort() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff8_0000_0000_0000),
+            f64::from_bits(0xfff0_0000_0000_0002),
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+        ];
+        forall("sort_total == sort_by(total_cmp)", 400, |g| {
+            let n = match g.usize_in(0, 3) {
+                0 => g.usize_in(0, 2),
+                1 => g.usize_in(3, 17),
+                _ => g.usize_in(18, 300),
+            };
+            let mut xs = Vec::with_capacity(n);
+            for _ in 0..n {
+                let x = match g.usize_in(0, 3) {
+                    0 => specials[g.usize_in(0, specials.len() - 1)],
+                    // A repeat of an earlier value makes runs of ties.
+                    1 if !xs.is_empty() => xs[g.usize_in(0, xs.len() - 1)],
+                    _ => g.f64_in(-4.0, 4.0),
+                };
+                xs.push(x);
+            }
+            let mut want = xs.clone();
+            want.sort_by(f64::total_cmp);
+            let mut got = xs.clone();
+            sort_total(&mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            if bits(&got) != bits(&want) {
+                return Err(format!("input {xs:?}: got {got:?}, want {want:?}"));
+            }
+            Ok(())
+        });
     }
 
     #[test]

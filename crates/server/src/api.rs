@@ -525,7 +525,9 @@ impl ApiRequest {
         let mut d = ParamDigest::new(match self {
             Self::Estimate { .. } => "serve.estimate",
             Self::Budget { .. } => "serve.budget",
-            Self::MonteCarlo { .. } => "serve.montecarlo",
+            // Versioned with the Monte Carlo sample stream, so a cached
+            // body or job checkpoint of another stream is never served.
+            Self::MonteCarlo { .. } => "serve.montecarlo.v2",
             Self::Sweep { .. } => "serve.sweep",
             Self::Validate { .. } => "serve.validate",
             Self::Optimize { .. } => "serve.optimize",
@@ -1023,6 +1025,26 @@ mod tests {
             e.detail,
             "parameter \"process\": unknown process \"p090\" (expected p018, p025 or p035)"
         );
+    }
+
+    /// The default request's digest per endpoint. Only montecarlo's moved
+    /// with the v2 sample stream (`2df9471f0f8086ad` under the v1 tag), so
+    /// its cached bodies and job checkpoints are never reused; every other
+    /// endpoint's cache key is unchanged.
+    #[test]
+    fn default_digests_are_pinned_and_montecarlo_carries_the_stream_version() {
+        for (endpoint, want) in [
+            (Endpoint::Estimate, "0b7587d612f0a19b"),
+            (Endpoint::Budget, "174011f5570ab34d"),
+            (Endpoint::Sweep, "098b6e256f622121"),
+            (Endpoint::Validate, "53ae1b94bca6f5f1"),
+            (Endpoint::Optimize, "a4921b31acb84c62"),
+        ] {
+            let req = ApiRequest::parse(endpoint, pairs(&[])).unwrap();
+            assert_eq!(digest_hex(req.digest()), want, "{}", endpoint.name());
+        }
+        let mc = ApiRequest::parse(Endpoint::MonteCarlo, pairs(&[])).unwrap();
+        assert_eq!(digest_hex(mc.digest()), "b43bd3dcd65f331b");
     }
 
     #[test]

@@ -259,12 +259,14 @@ rc=0
 [ "$rc" -eq 16 ] \
     || { echo "ci: an impossible noise cap should exit 16 (no feasible point), got $rc" >&2; exit 1; }
 
-echo "== benchmark package: build, tests, design_explore smoke =="
+echo "== benchmark package: build, tests, design_explore + mc_yield smokes =="
 # The benchmark (benchmark/, its own package outside the workspace) drives
 # the crates' public APIs — e.g. `optimize::ParetoFront` — so an API change
-# that breaks it must fail here, not first in a benchmark run. The smoke
-# runs one short untraced design_explore window, whose passes check both
-# search fronts against the recorded enumeration digests.
+# that breaks it must fail here, not first in a benchmark run. The smokes
+# run one short untraced window each: design_explore's passes check both
+# search fronts against the recorded enumeration digests; mc_yield's check
+# the 1M-sample yield statistics against the reference recorded at seed 1,
+# so every run proves the sample stream is still a correct normal.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
 bench_out="$tmp_dir/bench_design.out"
@@ -272,6 +274,10 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
     --workload design_explore --seed 1 --seconds 1 --trace 0 > "$bench_out"
 tail -n 1 "$bench_out" | grep -q '"failed": 0' \
     || { echo "ci: design_explore benchmark smoke reported failures" >&2; tail -n 1 "$bench_out" >&2; exit 1; }
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload mc_yield --seed 1 --seconds 1 --trace 0 > "$bench_out"
+tail -n 1 "$bench_out" | grep -q '"failed": 0' \
+    || { echo "ci: mc_yield benchmark smoke reported failures" >&2; tail -n 1 "$bench_out" >&2; exit 1; }
 
 echo "== storage fault gates: sweep, ENOSPC degrade, crash-under-EIO resume =="
 # The storage fault contract (DESIGN.md section 15), end to end on the release

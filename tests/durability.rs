@@ -12,21 +12,25 @@
 //! start — never a wrong-but-plausible result.
 
 use ssn_lab::core::design::{sweep_design_grid, sweep_design_grid_durable};
-use ssn_lab::core::durable::{DegradeStep, DurableOptions, RunBudget};
+use ssn_lab::core::durable::{
+    ByteWriter, CheckpointStore, DegradeStep, DurableOptions, RunBudget, RunSpec,
+};
 use ssn_lab::core::error::CheckpointErrorKind;
 use ssn_lab::core::faults::{corrupt_checkpoint, FaultPlan, Faults, JournalCorruption};
 use ssn_lab::core::montecarlo::{
-    run_monte_carlo_durable, run_monte_carlo_durable_with_path, run_monte_carlo_with, McPath,
-    VariationSpec, MC_CHUNK,
+    mc_run_spec, run_monte_carlo_durable, run_monte_carlo_durable_with_path, run_monte_carlo_with,
+    McPath, VariationSpec, MC_CHUNK,
 };
 use ssn_lab::core::oracle::{run_differential, run_differential_durable, OracleOptions};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
+use ssn_lab::core::storage::RealIo;
 use ssn_lab::core::SsnError;
 use ssn_lab::devices::Asdm;
 use ssn_lab::units::{Farads, Henrys, Seconds, Siemens, Volts};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
@@ -372,6 +376,60 @@ fn spec_mismatch_refuses_to_resume_under_different_parameters() {
     }
     // The unmodified journal still resumes fine under the right spec.
     resume_seeded(&journal, 42).expect("original spec resumes");
+}
+
+/// A journal of the v1 sample stream (Box–Muller draws, kind
+/// `"montecarlo"`) under otherwise identical parameters must be refused by
+/// its kind: its chunks hold other samples than the v2 stream draws, so
+/// restoring them would splice two streams into one result.
+#[test]
+fn a_v1_stream_journal_is_refused_by_kind_and_never_restored() {
+    let journal = TempJournal::new("v1-stream");
+    let s = scenario(8);
+    let spec = VariationSpec::typical();
+    let n = 4 * MC_CHUNK;
+    let v2 = mc_run_spec(&s, &spec, n, 42);
+    assert_eq!(v2.kind, "montecarlo.v2");
+    let v1 = RunSpec {
+        kind: "montecarlo",
+        ..v2
+    };
+    let mut store = CheckpointStore::create(journal.path().to_path_buf(), &v1);
+    for c in 0..2 {
+        let mut w = ByteWriter::new();
+        w.put_usize(MC_CHUNK);
+        for _ in 0..MC_CHUNK {
+            w.put_f64(0.5);
+        }
+        store.record(c, w.into_vec());
+    }
+    store
+        .commit(Duration::ZERO, &RealIo)
+        .expect("commit the v1 journal");
+
+    let err = run_monte_carlo_durable(
+        &s,
+        &spec,
+        n,
+        42,
+        &policy(2),
+        &checkpoint_at(journal.path(), true),
+    )
+    .expect_err("a v1 journal must not resume into a v2 run");
+    match &err {
+        SsnError::Checkpoint { kind, detail, .. } => {
+            assert_eq!(*kind, CheckpointErrorKind::SpecMismatch, "{err}");
+            assert!(
+                detail.contains("kind") && detail.contains("montecarlo.v2"),
+                "names the kind: {detail}"
+            );
+        }
+        other => panic!("want Checkpoint spec mismatch, got {other}"),
+    }
+    // The refused journal is left exactly as committed.
+    let kept = CheckpointStore::load(journal.path(), &RealIo).expect("journal still loads");
+    kept.verify_spec(&v1).expect("still the v1 journal");
+    assert_eq!(kept.records().len(), 2);
 }
 
 #[test]
